@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <cassert>
+#include <numeric>
 
 #include "tglink/graph/union_find.h"
 #include "tglink/obs/memprof.h"
 #include "tglink/obs/metrics.h"
 #include "tglink/obs/trace.h"
+#include "tglink/util/logging.h"
 #include "tglink/util/parallel.h"
 
 namespace tglink {
@@ -35,15 +37,27 @@ PreMatcher::PreMatcher(const CensusDataset& old_dataset,
         return sim_cache_.AggregateWithThreshold(cand.old_id, cand.new_id,
                                                  min_threshold);
       });
+  // Candidates arrive sorted by (old, new), so the kept pairs fill the CSR
+  // rows in order: count each row's pairs, then prefix-sum the counts into
+  // row offsets.
   scored_pairs_.reserve(candidates.size() / 8);
+  row_begin_.assign(old_dataset.num_records() + 1, 0);
   for (size_t i = 0; i < candidates.size(); ++i) {
     const double sim = sims[i];
     if (sim >= min_threshold) {
+      const CandidatePair& cand = candidates[i];
+      TGLINK_DCHECK(i == 0 || candidates[i - 1].old_id < cand.old_id ||
+                    (candidates[i - 1].old_id == cand.old_id &&
+                     candidates[i - 1].new_id < cand.new_id))
+          << "candidates not sorted by (old, new) at index " << i;
       TGLINK_HISTOGRAM_SCORE("prematch.kept_pair_sim", sim);
-      scored_pairs_.push_back({candidates[i].old_id, candidates[i].new_id, sim});
-      pair_sim_.emplace(Key(candidates[i].old_id, candidates[i].new_id), sim);
+      scored_pairs_.push_back({cand.old_id, cand.new_id, sim});
+      ++row_begin_[cand.old_id + 1];
+      row_new_.push_back(cand.new_id);
+      row_sim_.push_back(sim);
     }
   }
+  std::partial_sum(row_begin_.begin(), row_begin_.end(), row_begin_.begin());
   // Descending-sim order makes the pairs admissible at any δ a prefix, so
   // the per-iteration Cluster/CountPairsAtDelta never rescan pairs the
   // current threshold already excludes. Ties break on (old, new) for
@@ -79,8 +93,14 @@ size_t PreMatcher::CountPairsAtDelta(double delta,
 }
 
 double PreMatcher::PairSimilarity(RecordId old_id, RecordId new_id) const {
-  auto it = pair_sim_.find(Key(old_id, new_id));
-  if (it != pair_sim_.end()) return it->second;
+  TGLINK_DCHECK(old_id < old_dataset_.num_records())
+      << "old record " << old_id << " out of range";
+  const auto row_first = row_new_.begin() + row_begin_[old_id];
+  const auto row_last = row_new_.begin() + row_begin_[old_id + 1];
+  const auto it = std::lower_bound(row_first, row_last, new_id);
+  if (it != row_last && *it == new_id) {
+    return row_sim_[static_cast<size_t>(it - row_new_.begin())];
+  }
   TGLINK_COUNTER_INC("simcache.prematch_miss");
   return sim_cache_.Aggregate(old_id, new_id);
 }

@@ -10,14 +10,21 @@
 // over the cached scores. Scoring fans out over the shared thread pool
 // (util/parallel.h) with an ordered merge, and individual string-measure
 // results are memoized in a SimCache, so the output is bit-identical to a
-// serial, uncached run. The kept pairs are then sorted by descending
-// similarity once, so each δ round touches only the prefix of pairs at or
-// above its threshold instead of rescanning everything.
+// serial, uncached run.
+//
+// The kept pairs are held twice, for two access patterns:
+//   * sorted by descending similarity, so each δ round touches only the
+//     prefix of pairs at or above its threshold (Cluster, PrefixAtDelta);
+//   * in a CSR layout over old records, for PairSimilarity point lookups:
+//     row o lists the new ids of o's kept pairs in ascending order, with a
+//     parallel similarity array. Blocking emits candidates sorted by
+//     (old, new), so the rows fill in candidate order with no extra sort,
+//     and a lookup is a binary search within one short row. The store is
+//     immutable after construction, so concurrent lookups need no lock.
 
 #ifndef TGLINK_LINKAGE_PREMATCHING_H_
 #define TGLINK_LINKAGE_PREMATCHING_H_
 
-#include <unordered_map>
 #include <cstddef>
 #include <vector>
 
@@ -79,10 +86,11 @@ class PreMatcher {
       double delta, const std::vector<bool>& active_old,
       const std::vector<bool>& active_new) const;
 
-  /// agg_sim for any record pair: cached when above min_threshold, computed
-  /// on demand otherwise (needed for transitively-clustered pairs). Misses
-  /// route through the similarity memo layer and are counted as
-  /// "simcache.prematch_miss". Safe to call concurrently.
+  /// agg_sim for any record pair: looked up in the kept-pair store for a
+  /// kept pair (a blocking candidate at or above min_threshold), computed
+  /// on demand otherwise (needed for transitively-clustered pairs). Misses route through the similarity
+  /// memo layer and are counted as "simcache.prematch_miss". Safe to call
+  /// concurrently.
   double PairSimilarity(RecordId old_id, RecordId new_id) const;
 
   /// Clusters active records using pairs with sim >= delta (the
@@ -92,15 +100,16 @@ class PreMatcher {
                      const std::vector<bool>& active_new) const;
 
  private:
-  static uint64_t Key(RecordId o, RecordId n) {
-    return (static_cast<uint64_t>(o) << 32) | n;
-  }
-
   const CensusDataset& old_dataset_;
   const CensusDataset& new_dataset_;
   SimCache sim_cache_;
   std::vector<ScoredPair> scored_pairs_;  // descending sim
-  std::unordered_map<uint64_t, double> pair_sim_;
+  // CSR kept-pair store: old record o's kept pairs are
+  // (o, row_new_[k]) with similarity row_sim_[k], for k in
+  // [row_begin_[o], row_begin_[o + 1]), new ids ascending.
+  std::vector<size_t> row_begin_;  // num old records + 1
+  std::vector<RecordId> row_new_;
+  std::vector<double> row_sim_;
 };
 
 }  // namespace tglink

@@ -1,12 +1,14 @@
 #include "tglink/linkage/subgraph.h"
 
 #include <algorithm>
-#include <unordered_set>
+#include <cstdint>
+#include <tuple>
 
 #include "tglink/obs/memprof.h"
 #include "tglink/obs/metrics.h"
 #include "tglink/obs/trace.h"
 #include "tglink/similarity/numeric.h"
+#include "tglink/util/logging.h"
 #include "tglink/util/parallel.h"
 
 namespace tglink {
@@ -38,10 +40,28 @@ double EdgePropertySimilarity(const HouseholdGraph& old_graph,
   return 0.5;
 }
 
-}  // namespace
+/// A label-shared member pair: old record `old_id` and new record `new_id`
+/// carry the same cluster label; `new_group` is the new record's household.
+struct MemberPair {
+  GroupId new_group;
+  RecordId old_id;
+  RecordId new_id;
+};
 
-GroupPairSubgraph BuildGroupPairSubgraph(
-    GroupId old_group, GroupId new_group, const HouseholdGraph& old_graph,
+/// One candidate group pair handed to the builder, with its label-shared
+/// member pairs at [begin, end) of the member-pair array.
+struct GroupPairRun {
+  GroupId old_group;
+  GroupId new_group;
+  size_t begin;
+  size_t end;
+};
+
+/// Builds and scores the common subgraph of (old_group, new_group) from its
+/// label-shared member pairs [first, last), given in any order.
+GroupPairSubgraph BuildFromMemberPairs(
+    GroupId old_group, GroupId new_group, const MemberPair* first,
+    const MemberPair* last, const HouseholdGraph& old_graph,
     const HouseholdGraph& new_graph, const Clustering& clustering,
     const PreMatcher& prematcher, const LinkageConfig& config,
     const CensusDataset& old_dataset, const CensusDataset& new_dataset,
@@ -51,33 +71,30 @@ GroupPairSubgraph BuildGroupPairSubgraph(
   subgraph.new_group = new_group;
   const int year_gap = new_dataset.year() - old_dataset.year();
 
-  // 1. Candidate vertices: equally labeled (old, new) member pairs whose
-  // recorded ages are temporally plausible (footnote 2 of the paper).
+  // 1. Candidate vertices: label-shared member pairs whose recorded ages
+  // are temporally plausible (footnote 2 of the paper).
   std::vector<SubgraphVertex> candidates;
-  for (RecordId o : old_graph.members()) {
-    const uint32_t label = clustering.old_labels[o];
-    if (label == Clustering::kNoLabel) continue;
-    const PersonRecord& old_rec = old_dataset.record(o);
-    for (RecordId n : new_graph.members()) {
-      if (clustering.new_labels[n] != label) continue;
-      const PersonRecord& new_rec = new_dataset.record(n);
-      double age_sim = 0.5;
-      if (old_rec.has_age() && new_rec.has_age()) {
-        const int gate = config.vertex_age_tolerance;
-        age_sim = TemporalAgeSimilarity(old_rec.age, new_rec.age, year_gap,
-                                        gate > 0 ? gate : 7);
-        if (gate > 0 && age_sim <= 0.0) continue;  // implausible ageing
-      }
-      const double sim = prematcher.PairSimilarity(o, n);
-      if (sim + 1e-12 < delta) continue;  // label by chaining only
-      candidates.push_back({o, n, sim, age_sim});
+  for (const MemberPair* p = first; p != last; ++p) {
+    const PersonRecord& old_rec = old_dataset.record(p->old_id);
+    const PersonRecord& new_rec = new_dataset.record(p->new_id);
+    double age_sim = 0.5;
+    if (old_rec.has_age() && new_rec.has_age()) {
+      const int gate = config.vertex_age_tolerance;
+      age_sim = TemporalAgeSimilarity(old_rec.age, new_rec.age, year_gap,
+                                      gate > 0 ? gate : 7);
+      if (gate > 0 && age_sim <= 0.0) continue;  // implausible ageing
     }
+    const double sim = prematcher.PairSimilarity(p->old_id, p->new_id);
+    if (sim + 1e-12 < delta) continue;  // label by chaining only
+    candidates.push_back({p->old_id, p->new_id, sim, age_sim});
   }
-  if (candidates.empty()) return subgraph;
+  // A lone vertex has no incident edge, so step 4 would prune it.
+  if (candidates.size() < 2) return subgraph;
 
   // 2. Resolve within-pair ambiguity (two equally named brothers, say) by a
   // greedy 1:1 assignment ordered by record similarity, breaking ties on
-  // the temporally stable evidence — age plausibility.
+  // the temporally stable evidence — age plausibility. The order is total,
+  // so the result does not depend on the order of the member pairs.
   std::sort(candidates.begin(), candidates.end(),
             [](const SubgraphVertex& a, const SubgraphVertex& b) {
               if (a.sim != b.sim) return a.sim > b.sim;
@@ -85,13 +102,13 @@ GroupPairSubgraph BuildGroupPairSubgraph(
               if (a.old_id != b.old_id) return a.old_id < b.old_id;
               return a.new_id < b.new_id;
             });
-  std::unordered_set<RecordId> used_old, used_new;
   std::vector<SubgraphVertex> vertices;
   for (const SubgraphVertex& cand : candidates) {
-    if (used_old.count(cand.old_id) || used_new.count(cand.new_id)) continue;
-    used_old.insert(cand.old_id);
-    used_new.insert(cand.new_id);
-    vertices.push_back(cand);
+    const bool taken = std::any_of(
+        vertices.begin(), vertices.end(), [&cand](const SubgraphVertex& v) {
+          return v.old_id == cand.old_id || v.new_id == cand.new_id;
+        });
+    if (!taken) vertices.push_back(cand);
   }
 
   // 3. Edges: vertex pairs whose old and new records are connected by
@@ -123,6 +140,24 @@ GroupPairSubgraph BuildGroupPairSubgraph(
   }
   if (subgraph.vertices.empty()) return subgraph;
 
+#ifndef NDEBUG
+  // The soundness of BuildAllSubgraphs' two-and-two filter: a kept
+  // subgraph has an edge, hence two vertices, each an equally labelled
+  // pair admissible at delta.
+  TGLINK_DCHECK(subgraph.vertices.size() >= 2)
+      << "non-empty subgraph with " << subgraph.vertices.size() << " vertex";
+  for (const SubgraphVertex& v : subgraph.vertices) {
+    const uint32_t label = clustering.old_labels[v.old_id];
+    TGLINK_DCHECK(label != Clustering::kNoLabel &&
+                  label == clustering.new_labels[v.new_id])
+        << "vertex (" << v.old_id << ", " << v.new_id
+        << ") does not share a label";
+    TGLINK_DCHECK(v.sim + 1e-12 >= delta)
+        << "vertex (" << v.old_id << ", " << v.new_id << ") sim " << v.sim
+        << " below delta " << delta;
+  }
+#endif
+
   // 5. Scores (Section 3.4).
   double sim_sum = 0.0;
   size_t label_size_sum = 0;
@@ -147,6 +182,30 @@ GroupPairSubgraph BuildGroupPairSubgraph(
   return subgraph;
 }
 
+}  // namespace
+
+GroupPairSubgraph BuildGroupPairSubgraph(
+    GroupId old_group, GroupId new_group, const HouseholdGraph& old_graph,
+    const HouseholdGraph& new_graph, const Clustering& clustering,
+    const PreMatcher& prematcher, const LinkageConfig& config,
+    const CensusDataset& old_dataset, const CensusDataset& new_dataset,
+    double delta) {
+  std::vector<MemberPair> members;
+  for (RecordId o : old_graph.members()) {
+    const uint32_t label = clustering.old_labels[o];
+    if (label == Clustering::kNoLabel) continue;
+    for (RecordId n : new_graph.members()) {
+      if (clustering.new_labels[n] == label) {
+        members.push_back({new_group, o, n});
+      }
+    }
+  }
+  return BuildFromMemberPairs(old_group, new_group, members.data(),
+                              members.data() + members.size(), old_graph,
+                              new_graph, clustering, prematcher, config,
+                              old_dataset, new_dataset, delta);
+}
+
 std::vector<GroupPairSubgraph> BuildAllSubgraphs(
     const CensusDataset& old_dataset, const CensusDataset& new_dataset,
     const std::vector<HouseholdGraph>& old_graphs,
@@ -155,49 +214,87 @@ std::vector<GroupPairSubgraph> BuildAllSubgraphs(
     const LinkageConfig& config, double delta) {
   TGLINK_TRACE_SPAN("subgraph.build_score", delta);
   TGLINK_MEM_STAGE("subgraph.build_score");
-  // Candidate group pairs: every (old household, new household) combination
-  // sharing at least one cluster label.
-  std::vector<uint64_t> group_pair_keys;
-  for (uint32_t label = 0; label < clustering.num_labels; ++label) {
-    const auto& old_members = clustering.label_old_members[label];
-    const auto& new_members = clustering.label_new_members[label];
-    if (old_members.empty() || new_members.empty()) continue;
-    for (RecordId o : old_members) {
-      const GroupId go = old_dataset.record(o).group;
-      for (RecordId n : new_members) {
-        const GroupId gn = new_dataset.record(n).group;
-        group_pair_keys.push_back((static_cast<uint64_t>(go) << 32) | gn);
+  // Candidate group pairs: every label-shared member pair (o, n) nominates
+  // (group(o), group(n)). Enumerating per old household and sorting its
+  // member pairs by new household gathers each key's member pairs into one
+  // run, with the keys ascending. A key can yield a non-empty subgraph only
+  // if its run holds two distinct old and two distinct new records: a
+  // matching edge joins two vertices, and the 1:1 vertex selection uses
+  // each record once. Every other key is dropped unbuilt.
+  std::vector<GroupPairRun> runs;
+  std::vector<MemberPair> members;
+  std::vector<MemberPair> scratch;
+  uint64_t member_pairs = 0;
+  uint64_t filtered_keys = 0;
+  for (GroupId go = 0; go < old_graphs.size(); ++go) {
+    scratch.clear();
+    for (RecordId o : old_graphs[go].members()) {
+      const uint32_t label = clustering.old_labels[o];
+      if (label == Clustering::kNoLabel) continue;
+      for (RecordId n : clustering.label_new_members[label]) {
+        scratch.push_back({new_dataset.record(n).group, o, n});
       }
     }
+    member_pairs += scratch.size();
+    std::sort(scratch.begin(), scratch.end(),
+              [](const MemberPair& a, const MemberPair& b) {
+                return std::tie(a.new_group, a.old_id, a.new_id) <
+                       std::tie(b.new_group, b.old_id, b.new_id);
+              });
+    for (size_t i = 0; i < scratch.size();) {
+      bool two_old = false;
+      bool two_new = false;
+      size_t j = i + 1;
+      for (; j < scratch.size() && scratch[j].new_group == scratch[i].new_group;
+           ++j) {
+        two_old |= scratch[j].old_id != scratch[i].old_id;
+        two_new |= scratch[j].new_id != scratch[i].new_id;
+      }
+      if (two_old && two_new) {
+        runs.push_back({go, scratch[i].new_group, members.size(),
+                        members.size() + (j - i)});
+        members.insert(members.end(), scratch.begin() + i, scratch.begin() + j);
+      } else {
+        ++filtered_keys;
+      }
+      i = j;
+    }
   }
-  std::sort(group_pair_keys.begin(), group_pair_keys.end());
-  group_pair_keys.erase(
-      std::unique(group_pair_keys.begin(), group_pair_keys.end()),
-      group_pair_keys.end());
 
-  // Each candidate group pair builds and scores independently; results
-  // come back in the sorted key order, so the kept-subgraph list below is
-  // identical to the serial path for any thread count.
-  std::vector<GroupPairSubgraph> built = ParallelMap<GroupPairSubgraph>(
-      group_pair_keys.size(), "subgraph.build_chunk", [&](size_t i) {
-        const uint64_t key = group_pair_keys[i];
-        const GroupId go = static_cast<GroupId>(key >> 32);
-        const GroupId gn = static_cast<GroupId>(key & 0xFFFFFFFFu);
-        return BuildGroupPairSubgraph(go, gn, old_graphs[go], new_graphs[gn],
-                                      clustering, prematcher, config,
-                                      old_dataset, new_dataset, delta);
-      });
+  // Each candidate group pair builds and scores independently. Blocks of
+  // keys keep only their non-empty subgraphs and come back in key order,
+  // so the kept-subgraph list is identical to the serial path for any
+  // thread count.
+  constexpr size_t kBlock = 64;
+  const size_t num_blocks = (runs.size() + kBlock - 1) / kBlock;
+  std::vector<std::vector<GroupPairSubgraph>> blocks =
+      ParallelMap<std::vector<GroupPairSubgraph>>(
+          num_blocks, "subgraph.build_chunk", [&](size_t b) {
+            std::vector<GroupPairSubgraph> kept;
+            const size_t end = std::min(runs.size(), (b + 1) * kBlock);
+            for (size_t i = b * kBlock; i < end; ++i) {
+              const GroupPairRun& run = runs[i];
+              GroupPairSubgraph subgraph = BuildFromMemberPairs(
+                  run.old_group, run.new_group, members.data() + run.begin,
+                  members.data() + run.end, old_graphs[run.old_group],
+                  new_graphs[run.new_group], clustering, prematcher, config,
+                  old_dataset, new_dataset, delta);
+              if (!subgraph.empty()) kept.push_back(std::move(subgraph));
+            }
+            return kept;
+          });
   std::vector<GroupPairSubgraph> subgraphs;
-  for (GroupPairSubgraph& subgraph : built) {
-    if (!subgraph.empty()) {
+  for (std::vector<GroupPairSubgraph>& block : blocks) {
+    for (GroupPairSubgraph& subgraph : block) {
       TGLINK_HISTOGRAM_SIZE("subgraph.vertices", subgraph.vertices.size());
       subgraphs.push_back(std::move(subgraph));
     }
   }
-  TGLINK_COUNTER_ADD("subgraph.candidate_group_pairs", group_pair_keys.size());
+  TGLINK_COUNTER_ADD("subgraph.member_pairs", member_pairs);
+  TGLINK_COUNTER_ADD("subgraph.filtered_keys", filtered_keys);
+  TGLINK_COUNTER_ADD("subgraph.candidate_group_pairs", runs.size());
   TGLINK_COUNTER_ADD("subgraph.built", subgraphs.size());
-  TGLINK_COUNTER_ADD("subgraph.pruned_empty",
-                     group_pair_keys.size() - subgraphs.size());
+  TGLINK_COUNTER_ADD("subgraph.pruned_empty", runs.size() - subgraphs.size());
   return subgraphs;
 }
 

@@ -68,8 +68,10 @@ GroupPairSubgraph BuildGroupPairSubgraph(
     const CensusDataset& old_dataset, const CensusDataset& new_dataset,
     double delta);
 
-/// Enumerates candidate group pairs (pairs sharing >= 1 cluster label) and
-/// returns the non-empty scored subgraphs, deterministically ordered.
+/// Returns the non-empty scored subgraphs of all group pairs sharing >= 1
+/// cluster label, ordered by (old group, new group). Only pairs whose
+/// label-shared members include two distinct old and two distinct new
+/// records are built; no other pair can have an edge (DESIGN.md §14).
 std::vector<GroupPairSubgraph> BuildAllSubgraphs(
     const CensusDataset& old_dataset, const CensusDataset& new_dataset,
     const std::vector<HouseholdGraph>& old_graphs,

@@ -1,9 +1,15 @@
 #include "tglink/linkage/prematching.h"
 
 #include <algorithm>
+#include <iterator>
+#include <map>
+#include <utility>
 
 #include <gtest/gtest.h>
 
+#include "tglink/linkage/config.h"
+#include "tglink/obs/metrics.h"
+#include "tglink/synth/generator.h"
 #include "tests/paper_example.h"
 
 namespace tglink {
@@ -11,6 +17,7 @@ namespace {
 
 using testing_example::MakeCensus1871;
 using testing_example::MakeCensus1881;
+using testing_example::MakeRecord;
 
 /// Fig. 3's configuration: exact first name + surname, threshold 1.
 SimilarityFunction Fig3SimFunc() {
@@ -147,6 +154,109 @@ TEST(PreMatchingTest, ScoredPairsRespectMinThreshold) {
   for (const ScoredPair& p : pm.scored_pairs()) {
     EXPECT_GE(p.sim, 0.6);
   }
+}
+
+// The CSR kept-pair store answers every kept pair with its stored score,
+// checked against an ordered-map oracle built from scored_pairs().
+TEST(PreMatchingTest, PairSimilarityMatchesMapOracleForEveryKeptPair) {
+  GeneratorConfig gen;
+  gen.seed = 1807;
+  gen.scale = 0.05;
+  gen.num_censuses = 2;
+  const SyntheticPair pair = GenerateCensusPair(gen, 0);
+  const LinkageConfig config = configs::DefaultConfig();
+  SimilarityFunction f = config.sim_func;
+  f.set_year_gap(pair.new_dataset.year() - pair.old_dataset.year());
+  const PreMatcher pm(pair.old_dataset, pair.new_dataset, f, config.blocking,
+                      config.delta_low);
+  std::map<std::pair<RecordId, RecordId>, double> oracle;
+  for (const ScoredPair& p : pm.scored_pairs()) {
+    EXPECT_TRUE(oracle.emplace(std::make_pair(p.old_id, p.new_id), p.sim)
+                    .second)
+        << "duplicate kept pair (" << p.old_id << ", " << p.new_id << ")";
+  }
+  ASSERT_GT(oracle.size(), 100u);
+  obs::Counter& misses =
+      obs::GlobalMetrics().GetCounter("simcache.prematch_miss");
+  const uint64_t misses_before = misses.Value();
+  for (const auto& [key, sim] : oracle) {
+    EXPECT_EQ(pm.PairSimilarity(key.first, key.second), sim);
+  }
+  EXPECT_EQ(misses.Value(), misses_before) << "a kept pair missed the store";
+}
+
+// Lookups that must miss the store and fall through to the memo layer,
+// returning exactly the directly computed similarity.
+class PreMatchingMissTest : public ::testing::Test {
+ protected:
+  // Old records 0 and 3 (the first and the last) match nothing at
+  // threshold 1, so their rows are empty; rows 1 and 2 hold one pair each.
+  PreMatchingMissTest()
+      : old_d_(MakeOld()),
+        new_d_(MakeNew()),
+        sim_func_(Fig3SimFunc()),
+        prematcher_(old_d_, new_d_, sim_func_,
+                    BlockingConfig::MakeExhaustive(), 1.0) {}
+
+  static CensusDataset MakeOld() {
+    CensusDataset d(1871);
+    d.AddHousehold(
+        "o1", {MakeRecord("o_0", "zebedee", "nobody", Sex::kMale, 40,
+                          Role::kHead, "1 lane", ""),
+               MakeRecord("o_1", "john", "ashworth", Sex::kMale, 39,
+                          Role::kHead, "12 mill street", "")});
+    d.AddHousehold(
+        "o2", {MakeRecord("o_2", "elizabeth", "ashworth", Sex::kFemale, 37,
+                          Role::kHead, "12 mill street", ""),
+               MakeRecord("o_3", "quentin", "outlier", Sex::kMale, 50,
+                          Role::kHead, "9 hill", "")});
+    return d;
+  }
+  static CensusDataset MakeNew() {
+    CensusDataset d(1881);
+    d.AddHousehold(
+        "n1", {MakeRecord("n_0", "john", "ashworth", Sex::kMale, 49,
+                          Role::kHead, "12 mill street", ""),
+               MakeRecord("n_1", "elizabeth", "ashworth", Sex::kFemale, 47,
+                          Role::kWife, "12 mill street", ""),
+               MakeRecord("n_2", "mary", "smith", Sex::kFemale, 2,
+                          Role::kDaughter, "12 mill street", "")});
+    return d;
+  }
+
+  double Direct(RecordId o, RecordId n) const {
+    return sim_func_.AggregateSimilarity(old_d_.record(o), new_d_.record(n));
+  }
+
+  CensusDataset old_d_;
+  CensusDataset new_d_;
+  SimilarityFunction sim_func_;
+  PreMatcher prematcher_;
+};
+
+TEST_F(PreMatchingMissTest, StoreHoldsExactlyTheMatchingPairs) {
+  ASSERT_EQ(prematcher_.scored_pairs().size(), 2u);
+  EXPECT_EQ(prematcher_.PairSimilarity(1, 0), 1.0);
+  EXPECT_EQ(prematcher_.PairSimilarity(2, 1), 1.0);
+}
+
+TEST_F(PreMatchingMissTest, MissesFallThroughToDirectSimilarity) {
+  obs::Counter& misses =
+      obs::GlobalMetrics().GetCounter("simcache.prematch_miss");
+  const uint64_t before = misses.Value();
+  const std::pair<RecordId, RecordId> probes[] = {
+      {0, 0}, {0, 2},  // empty first row
+      {3, 0}, {3, 2},  // empty last row
+      {1, 2},          // new id past the end of row 1 = {0}
+      {2, 0},          // new id before the start of row 2 = {1}
+      {1, 1},          // scored but below the threshold
+  };
+  for (const auto& [o, n] : probes) {
+    EXPECT_EQ(prematcher_.PairSimilarity(o, n), Direct(o, n))
+        << "(" << o << ", " << n << ")";
+  }
+  EXPECT_LT(prematcher_.PairSimilarity(1, 1), 1.0);
+  EXPECT_EQ(misses.Value() - before, std::size(probes) + 1);
 }
 
 }  // namespace

@@ -152,16 +152,18 @@ if [ "$quick" -eq 0 ]; then
   done
   note ran "fuzz smoke"
 
-  # The multi-threaded surface — pool, sim-cache, obs — under TSan. Scoped
-  # to the thread-hammer tests so the stage stays bounded; the full suite
-  # already runs under release and asan above.
+  # The multi-threaded surface — pool, sim-cache, obs, the kept-pair store
+  # and the pooled subgraph build — under TSan. Scoped to the thread-hammer
+  # tests so the stage stays bounded; the full suite already runs under
+  # release and asan above.
   stage "configure+build: tsan (threaded tests)"
   cmake --preset tsan
   cmake --build --preset tsan -j "$jobs" \
     --target obs_threads_test parallel_test parallel_determinism_test \
-             thread_annotations_test tsan_hammer_test
+             thread_annotations_test tsan_hammer_test \
+             subgraph_candidates_property_test
   stage "ctest: tsan (threaded tests)"
-  ctest --preset tsan -R '^(obs_threads_test|parallel_test|parallel_determinism_test|thread_annotations_test|tsan_hammer_test)$'
+  ctest --preset tsan -R '^(obs_threads_test|parallel_test|parallel_determinism_test|thread_annotations_test|tsan_hammer_test|subgraph_candidates_property_test_mt)$'
   note ran "tsan hammers"
 
   # Line-coverage floor over the blocking and similarity layers (gcov only —
