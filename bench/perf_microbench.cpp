@@ -13,12 +13,8 @@
 #include "tglink/linkage/iterative.h"
 #include "tglink/linkage/prematching.h"
 #include "tglink/linkage/subgraph.h"
-#include "tglink/similarity/batch_kernels.h"
-#include "tglink/similarity/edit_distance.h"
-#include "tglink/similarity/jaro.h"
+#include "tglink/similarity/field_similarity.h"
 #include "tglink/similarity/phonetic.h"
-#include "tglink/similarity/qgram.h"
-#include "tglink/similarity/sim_batch.h"
 #include "tglink/synth/generator.h"
 
 namespace tglink {
@@ -30,20 +26,22 @@ const char* const kNamePairs[][2] = {
     {"smith", "smyth"},       {"butterworth", "buttersworth"},
 };
 
-void BM_BigramDice(benchmark::State& state) {
+void BM_QGramDice(benchmark::State& state) {
   size_t i = 0;
   for (auto _ : state) {
     const auto& pair = kNamePairs[i++ % std::size(kNamePairs)];
-    benchmark::DoNotOptimize(BigramDice(pair[0], pair[1]));
+    benchmark::DoNotOptimize(
+        ComputeMeasure(Measure::kQGramDice, pair[0], pair[1]));
   }
 }
-BENCHMARK(BM_BigramDice);
+BENCHMARK(BM_QGramDice);
 
 void BM_Levenshtein(benchmark::State& state) {
   size_t i = 0;
   for (auto _ : state) {
     const auto& pair = kNamePairs[i++ % std::size(kNamePairs)];
-    benchmark::DoNotOptimize(LevenshteinDistance(pair[0], pair[1]));
+    benchmark::DoNotOptimize(
+        ComputeMeasure(Measure::kLevenshtein, pair[0], pair[1]));
   }
 }
 BENCHMARK(BM_Levenshtein);
@@ -52,7 +50,8 @@ void BM_JaroWinkler(benchmark::State& state) {
   size_t i = 0;
   for (auto _ : state) {
     const auto& pair = kNamePairs[i++ % std::size(kNamePairs)];
-    benchmark::DoNotOptimize(JaroWinklerSimilarity(pair[0], pair[1]));
+    benchmark::DoNotOptimize(
+        ComputeMeasure(Measure::kJaroWinkler, pair[0], pair[1]));
   }
 }
 BENCHMARK(BM_JaroWinkler);
@@ -66,37 +65,30 @@ void BM_Soundex(benchmark::State& state) {
 }
 BENCHMARK(BM_Soundex);
 
-// Scalar measure vs batched kernel, per measure: state.range(0) selects the
-// variant (0 = scalar ComputeMeasure, 1 = batched without pruning, 2 =
-// batched under a 0.7 cutoff), so each kernel reports three comparable rows.
-void BM_KernelVsScalar(benchmark::State& state, Measure measure) {
-  const int variant = static_cast<int>(state.range(0));
-  const double min_sim = variant == 2 ? 0.7 : 0.0;
+// Every kernel-backed measure through ComputeMeasure, exact (cutoff 0)
+// and under a 0.7 pruning cutoff: state.range(0) is the cutoff in percent.
+void BM_ComputeMeasure(benchmark::State& state, Measure measure) {
+  const double min_sim = static_cast<double>(state.range(0)) / 100.0;
   size_t i = 0;
   for (auto _ : state) {
     const auto& pair = kNamePairs[i++ % std::size(kNamePairs)];
     benchmark::DoNotOptimize(
-        variant == 0 ? ComputeMeasure(measure, pair[0], pair[1])
-                     : simkernel::BatchMeasure(measure, pair[0], pair[1],
-                                               min_sim));
+        ComputeMeasure(measure, pair[0], pair[1], min_sim));
   }
-  state.SetLabel(variant == 0 ? "scalar"
-                              : (variant == 1 ? "batched" : "batched@0.7"));
 }
-BENCHMARK_CAPTURE(BM_KernelVsScalar, qgram_dice, Measure::kQGramDice)
-    ->Arg(0)->Arg(1)->Arg(2);
-BENCHMARK_CAPTURE(BM_KernelVsScalar, trigram_dice, Measure::kTrigramDice)
-    ->Arg(0)->Arg(1)->Arg(2);
-BENCHMARK_CAPTURE(BM_KernelVsScalar, levenshtein, Measure::kLevenshtein)
-    ->Arg(0)->Arg(1)->Arg(2);
-BENCHMARK_CAPTURE(BM_KernelVsScalar, damerau, Measure::kDamerau)
-    ->Arg(0)->Arg(1)->Arg(2);
-BENCHMARK_CAPTURE(BM_KernelVsScalar, jaro, Measure::kJaro)
-    ->Arg(0)->Arg(1)->Arg(2);
-BENCHMARK_CAPTURE(BM_KernelVsScalar, jaro_winkler, Measure::kJaroWinkler)
-    ->Arg(0)->Arg(1)->Arg(2);
-BENCHMARK_CAPTURE(BM_KernelVsScalar, soundex, Measure::kSoundexEqual)
-    ->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK_CAPTURE(BM_ComputeMeasure, qgram_dice, Measure::kQGramDice)
+    ->Arg(0)->Arg(70);
+BENCHMARK_CAPTURE(BM_ComputeMeasure, trigram_dice, Measure::kTrigramDice)
+    ->Arg(0)->Arg(70);
+BENCHMARK_CAPTURE(BM_ComputeMeasure, levenshtein, Measure::kLevenshtein)
+    ->Arg(0)->Arg(70);
+BENCHMARK_CAPTURE(BM_ComputeMeasure, damerau, Measure::kDamerau)
+    ->Arg(0)->Arg(70);
+BENCHMARK_CAPTURE(BM_ComputeMeasure, jaro, Measure::kJaro)->Arg(0)->Arg(70);
+BENCHMARK_CAPTURE(BM_ComputeMeasure, jaro_winkler, Measure::kJaroWinkler)
+    ->Arg(0)->Arg(70);
+BENCHMARK_CAPTURE(BM_ComputeMeasure, soundex, Measure::kSoundexEqual)
+    ->Arg(0)->Arg(70);
 
 /// One fully configured record-pair similarity (ω2, five attributes).
 void BM_AggregateSimilarity(benchmark::State& state) {
@@ -159,24 +151,6 @@ void BM_PreMatcherBuild(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PreMatcherBuild)->Arg(5)->Arg(10)->Arg(20);
-
-// The same build with the scalar reference kernels, for the batched-kernel
-// speedup at a glance (BM_PreMatcherBuild runs the default batched mode).
-void BM_PreMatcherBuildScalar(benchmark::State& state) {
-  ScopedBatchKernels scalar_mode(false);
-  GeneratorConfig gen;
-  gen.scale = state.range(0) / 100.0;
-  gen.num_censuses = 2;
-  const SyntheticPair pair = GenerateCensusPair(gen, 0);
-  SimilarityFunction sim_func = configs::Omega2();
-  sim_func.set_year_gap(10);
-  for (auto _ : state) {
-    PreMatcher pm(pair.old_dataset, pair.new_dataset, sim_func,
-                  BlockingConfig::MakeDefault(), 0.5);
-    benchmark::DoNotOptimize(pm.scored_pairs().size());
-  }
-}
-BENCHMARK(BM_PreMatcherBuildScalar)->Arg(5)->Arg(10)->Arg(20);
 
 void BM_ClusterRound(benchmark::State& state) {
   GeneratorConfig gen;

@@ -4,7 +4,6 @@
 #include <cassert>
 
 #include "tglink/obs/metrics.h"
-#include "tglink/similarity/phonetic.h"
 #include "tglink/util/logging.h"
 
 namespace tglink {
@@ -16,7 +15,7 @@ namespace {
 constexpr uint32_t kMyersMaxPattern = 64;
 
 /// Reusable per-thread buffers: DP rows for the banded/Damerau paths,
-/// matched flags for Jaro, gram profiles for BatchMeasure. Cleared (not
+/// matched flags for Jaro, gram profiles for QGramDiceKernel. Cleared (not
 /// freed) between calls, so steady-state kernel calls never touch the heap.
 struct KernelScratch {
   uint64_t peq[256] = {};  // Myers pattern masks; zeroed after every use
@@ -72,7 +71,7 @@ int MyersDistance(StringRef pattern, StringRef text) {
 
 /// Ukkonen-banded Levenshtein: exact distance when it is <= cap, any value
 /// > cap otherwise. With cap >= max(la, lb) the band covers the full table
-/// and this is a scratch-row rewrite of the scalar DP.
+/// and this is the textbook two-row DP.
 int BandedLevenshtein(StringRef a, StringRef b, int cap) {
   if (a.len < b.len) std::swap(a, b);  // b is the shorter string
   const int la = static_cast<int>(a.len);
@@ -105,7 +104,7 @@ int BandedLevenshtein(StringRef a, StringRef b, int cap) {
   return row[lb];
 }
 
-/// Same expression as edit_distance.cc's NormalizedSimilarity.
+/// 1 - dist / max(la, lb); shared by Levenshtein and Damerau.
 double NormalizedEditSimilarity(int dist, size_t la, size_t lb) {
   const size_t longest = std::max(la, lb);
   if (longest == 0) return 1.0;
@@ -185,8 +184,8 @@ double DamerauKernel(StringRef a, StringRef b, double min_sim) {
     TGLINK_COUNTER_INC("simkernel.pruned_by_length");
     return kBelowMinSim;
   }
-  // Same recurrence as edit_distance.cc's DamerauDistance, on thread-local
-  // rolling rows.
+  // Optimal-string-alignment recurrence on three thread-local rolling rows
+  // (row i-2 carries the transposition term).
   KernelScratch& scratch = Scratch();
   std::vector<int>& prev2 = scratch.row;
   std::vector<int>& prev = scratch.row2;
@@ -221,8 +220,8 @@ double JaroKernel(StringRef a, StringRef b, double min_sim) {
   }
   if (a.view() == b.view()) return 1.0;
 
-  // Identical match/transposition loops to jaro.cc, with thread-local
-  // matched-flag scratch instead of per-call std::vector<bool>.
+  // Matches within the window max(la, lb)/2 - 1, then transpositions among
+  // the matched characters in order, on thread-local matched-flag scratch.
   const int la = static_cast<int>(a.len);
   const int lb = static_cast<int>(b.len);
   const int window = std::max(0, std::max(la, lb) / 2 - 1);
@@ -267,8 +266,8 @@ double JaroWinklerKernel(StringRef a, StringRef b, double min_sim) {
     return kBelowMinSim;
   }
   // Winkler boost is nonnegative, so the inner Jaro must not prune at the
-  // Jaro-Winkler cutoff; pass 0 and apply the same formula as jaro.cc with
-  // the default 0.1 prefix scale (the only one ComputeMeasure uses).
+  // Jaro-Winkler cutoff; pass 0 and boost by up to 4 characters of common
+  // prefix at the 0.1 scale.
   const double jaro = JaroKernel(a, b, 0.0);
   constexpr double kPrefixScale = 0.1;
   size_t prefix = 0;
@@ -298,26 +297,42 @@ double DiceProfileKernel(const uint32_t* a, size_t na, const uint32_t* b,
       ++j;
     }
   }
-  // Same expression as qgram.cc: 2|A∩B| / (|A|+|B|).
+  // 2|A∩B| / (|A|+|B|).
   return 2.0 * static_cast<double>(common) / static_cast<double>(na + nb);
+}
+
+double QGramDiceKernel(std::string_view a, std::string_view b, int q,
+                       double min_sim) {
+  if (a.empty() && b.empty()) return 1.0;
+  if (a.empty() || b.empty()) return 0.0;
+  if (a == b) return 1.0;
+  KernelScratch& scratch = Scratch();
+  scratch.profile_a.clear();
+  scratch.profile_b.clear();
+  BuildPaddedGramProfile(a, q, &scratch.profile_a);
+  BuildPaddedGramProfile(b, q, &scratch.profile_b);
+  return DiceProfileKernel(scratch.profile_a.data(), scratch.profile_a.size(),
+                           scratch.profile_b.data(), scratch.profile_b.size(),
+                           min_sim);
 }
 
 void BuildPaddedGramProfile(std::string_view s, int q,
                             std::vector<uint32_t>* out) {
   TGLINK_DCHECK(q == 2 || q == 3) << "packed profiles support q in {2,3}";
-  // Virtual padded string (q-1)*'#' + s + (q-1)*'$', no materialization.
+  // Rolling window over the virtual padded string (q-1)*'#' + s +
+  // (q-1)*'$': one gram ends at each byte of s and at each trailing '$'.
   const size_t pad = static_cast<size_t>(q - 1);
-  const size_t num_grams = s.size() + pad;  // (|s| + 2*pad) - q + 1
+  const uint32_t mask = q == 2 ? 0xFFFFu : 0xFFFFFFu;
   const size_t start = out->size();
-  out->reserve(start + num_grams);
-  const auto at = [&](size_t v) -> uint32_t {
-    if (v < pad) return '#';
-    if (v >= pad + s.size()) return '$';
-    return static_cast<unsigned char>(s[v - pad]);
-  };
-  for (size_t i = 0; i < num_grams; ++i) {
-    uint32_t code = 0;
-    for (int k = 0; k < q; ++k) code = (code << 8) | at(i + k);
+  out->reserve(start + s.size() + pad);
+  uint32_t code = 0;
+  for (size_t k = 0; k < pad; ++k) code = (code << 8) | '#';
+  for (const char c : s) {
+    code = ((code << 8) | static_cast<unsigned char>(c)) & mask;
+    out->push_back(code);
+  }
+  for (size_t k = 0; k < pad; ++k) {
+    code = ((code << 8) | '$') & mask;
     out->push_back(code);
   }
   std::sort(out->begin() + static_cast<ptrdiff_t>(start), out->end());
@@ -330,67 +345,6 @@ uint64_t PackPhoneticCode(std::string_view code) {
     packed = (packed << 8) | static_cast<unsigned char>(c);
   }
   return packed;
-}
-
-bool HasBatchKernel(Measure measure) {
-  switch (measure) {
-    case Measure::kExact:
-    case Measure::kQGramDice:
-    case Measure::kTrigramDice:
-    case Measure::kLevenshtein:
-    case Measure::kDamerau:
-    case Measure::kJaro:
-    case Measure::kJaroWinkler:
-    case Measure::kSoundexEqual:
-      return true;
-    case Measure::kMongeElkan:
-    case Measure::kDoubleMetaphone:
-    case Measure::kSmithWaterman:
-    case Measure::kLcsSubstring:
-      return false;
-  }
-  return false;
-}
-
-double BatchMeasure(Measure measure, std::string_view a, std::string_view b,
-                    double min_sim) {
-  // ComputeMeasure's shared conventions, ahead of any dispatch.
-  if (a.empty() && b.empty()) return 1.0;
-  if (a.empty() || b.empty()) return 0.0;
-  switch (measure) {
-    case Measure::kExact:
-      return a == b ? 1.0 : 0.0;
-    case Measure::kQGramDice:
-    case Measure::kTrigramDice: {
-      if (a == b) return 1.0;  // same early-out as BigramDice/QGramSimilarity
-      KernelScratch& scratch = Scratch();
-      scratch.profile_a.clear();
-      scratch.profile_b.clear();
-      const int q = measure == Measure::kQGramDice ? 2 : 3;
-      BuildPaddedGramProfile(a, q, &scratch.profile_a);
-      BuildPaddedGramProfile(b, q, &scratch.profile_b);
-      return DiceProfileKernel(scratch.profile_a.data(),
-                               scratch.profile_a.size(),
-                               scratch.profile_b.data(),
-                               scratch.profile_b.size(), min_sim);
-    }
-    case Measure::kLevenshtein:
-      return LevenshteinKernel(MakeRef(a), MakeRef(b), min_sim);
-    case Measure::kDamerau:
-      return DamerauKernel(MakeRef(a), MakeRef(b), min_sim);
-    case Measure::kJaro:
-      return JaroKernel(MakeRef(a), MakeRef(b), min_sim);
-    case Measure::kJaroWinkler:
-      return JaroWinklerKernel(MakeRef(a), MakeRef(b), min_sim);
-    case Measure::kSoundexEqual:
-      return Soundex(a) == Soundex(b) ? 1.0 : 0.0;
-    case Measure::kMongeElkan:
-    case Measure::kDoubleMetaphone:
-    case Measure::kSmithWaterman:
-    case Measure::kLcsSubstring:
-      return ComputeMeasure(measure, a, b);
-  }
-  return 0.0;
 }
 
 }  // namespace simkernel

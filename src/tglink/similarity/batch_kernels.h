@@ -1,13 +1,12 @@
-// Allocation-free batched similarity kernels with threshold-aware pruning.
+// Allocation-free similarity kernels with threshold-aware pruning — the
+// library's only implementation of exact, bigram/trigram Dice, Levenshtein,
+// Damerau, Jaro, Jaro-Winkler and Soundex agreement. Every caller reaches
+// them: SimBatch scores against its interned arena and precomputed
+// profiles, ComputeMeasure (field_similarity.h) against two plain strings.
 //
-// The scalar measures in edit_distance/jaro/qgram are exact but allocate on
-// every call (DP rows, matched-flag vectors, q-gram string multisets). The
-// kernels here compute the *same doubles* — every arithmetic expression is
-// copied from the scalar implementation, and the integer intermediates
-// (edit distances, match/transposition counts, gram intersection sizes) are
-// provably equal — while reading flat `StringRef` views and reusing
-// thread-local scratch buffers, so the pre-matching hot loop does no heap
-// work per pair.
+// The kernels read flat `StringRef` views and reuse thread-local scratch
+// buffers (DP rows, matched flags, gram profiles), so steady-state calls do
+// no heap work per pair.
 //
 // Threshold-aware pruning: each kernel takes a `min_sim` cutoff. When an
 // O(1) upper bound (length difference for the edit/Jaro family, gram-profile
@@ -16,11 +15,12 @@
 // bounds are evaluated with a `kPruneMargin` safety margin so floating-point
 // rounding can never reject a pair whose true similarity is >= min_sim
 // (pruned ⇒ true sim < min_sim, the invariant the property tests pin).
-// `min_sim <= 0` disables pruning and the kernels are then total functions,
-// bit-identical to their scalar counterparts.
+// `min_sim <= 0` disables pruning and the kernels are then total functions.
 //
-// The scalar kernels remain the reference oracle; see
-// tests/similarity_kernel_property_test.cc.
+// The textbook reference oracle (string-multiset Dice, full-table edit
+// DP, vector<bool> Jaro) lives in tests/reference_measures.h;
+// tests/similarity_kernel_property_test.cc checks every kernel against it
+// bit for bit.
 
 #ifndef TGLINK_SIMILARITY_BATCH_KERNELS_H_
 #define TGLINK_SIMILARITY_BATCH_KERNELS_H_
@@ -29,8 +29,6 @@
 #include <cstdint>
 #include <string_view>
 #include <vector>
-
-#include "tglink/similarity/field_similarity.h"
 
 namespace tglink {
 namespace simkernel {
@@ -60,7 +58,7 @@ inline constexpr double kPruneMargin = 1e-9;
 
 // ---------------------------------------------------------------------------
 // O(1) upper bounds. Each returns a value >= the corresponding similarity
-// as computed by the scalar kernel (in the same floating-point arithmetic,
+// as computed by its kernel (in the same floating-point arithmetic,
 // so `computed_sim <= bound` holds ulp-for-ulp for the monotone formulas;
 // the kPruneMargin above covers the rest).
 
@@ -71,8 +69,8 @@ inline constexpr double kPruneMargin = 1e-9;
 /// jaro <= (2 + min/max) / 3.
 [[nodiscard]] double JaroUpperBound(size_t la, size_t lb);
 
-/// Jaro-Winkler with the default 0.1 prefix scale (the only configuration
-/// ComputeMeasure uses): jw = j + p*0.1*(1-j) is nondecreasing in both j
+/// Jaro-Winkler with the 0.1 prefix scale (the only configuration the
+/// kernel implements): jw = j + p*0.1*(1-j) is nondecreasing in both j
 /// and p, so plugging in the Jaro bound and p = 4 bounds it.
 [[nodiscard]] double JaroWinklerUpperBound(size_t la, size_t lb);
 
@@ -81,10 +79,10 @@ inline constexpr double kPruneMargin = 1e-9;
 [[nodiscard]] double DiceUpperBound(size_t na, size_t nb);
 
 // ---------------------------------------------------------------------------
-// Kernels. Empty-string conventions mirror ComputeMeasure (both empty -> 1,
-// one empty -> 0); for non-empty inputs each returns exactly the scalar
-// measure's double, or kBelowMinSim when an O(1) bound (or the banded DP's
-// band overflow) proves the result is below min_sim.
+// Kernels. Empty-string conventions match ComputeMeasure (both empty -> 1,
+// one empty -> 0); for non-empty inputs each returns the exact similarity,
+// or kBelowMinSim when an O(1) bound (or the banded DP's band overflow)
+// proves the result is below min_sim.
 
 /// Myers bit-parallel edit distance when the shorter string fits one 64-bit
 /// word ("simkernel.myers_hits"), banded dynamic programming otherwise
@@ -96,11 +94,10 @@ inline constexpr double kPruneMargin = 1e-9;
 /// has no transposition term, so Damerau stays a scratch-buffer DP).
 [[nodiscard]] double DamerauKernel(StringRef a, StringRef b, double min_sim);
 
-/// Jaro with thread-local matched-flag scratch instead of per-call
-/// std::vector<bool>.
+/// Jaro on thread-local matched-flag scratch.
 [[nodiscard]] double JaroKernel(StringRef a, StringRef b, double min_sim);
 
-/// Jaro-Winkler over JaroKernel with the default 0.1 prefix scale.
+/// Jaro-Winkler over JaroKernel with the 0.1 prefix scale.
 [[nodiscard]] double JaroWinklerKernel(StringRef a, StringRef b,
                                        double min_sim);
 
@@ -111,32 +108,25 @@ inline constexpr double kPruneMargin = 1e-9;
                                        const uint32_t* b, size_t nb,
                                        double min_sim);
 
+/// Padded q-gram Dice (q in {2, 3}) on two plain strings: builds both
+/// profiles in thread-local scratch, then runs DiceProfileKernel.
+[[nodiscard]] double QGramDiceKernel(std::string_view a, std::string_view b,
+                                     int q, double min_sim);
+
 // ---------------------------------------------------------------------------
 // Precomputed per-string signatures.
 
 /// Appends the sorted, packed padded q-gram profile of `s` (q in {2, 3}:
-/// big-endian byte packing, one uint32_t per gram) to `*out`. The multiset
-/// of codes corresponds 1:1 to QGrams(s, {q, padded=true}), so sorted-merge
-/// intersection counts are identical to the scalar string-gram counts.
+/// big-endian byte packing, one uint32_t per gram) to `*out`: the grams of
+/// (q-1)*'#' + s + (q-1)*'$', without materializing the padded string.
+/// Packing is injective, so sorted-merge intersection counts equal the
+/// string-gram multiset counts.
 void BuildPaddedGramProfile(std::string_view s, int q,
                             std::vector<uint32_t>* out);
 
 /// Packs a Soundex code (<= 8 chars, never containing NUL) into one
 /// uint64_t; equality of packed codes ⟺ equality of the code strings.
 [[nodiscard]] uint64_t PackPhoneticCode(std::string_view code);
-
-// ---------------------------------------------------------------------------
-// Standalone dispatch for property tests and microbenches: evaluates
-// `measure` on two plain strings through the batched kernels (building gram
-// profiles in thread-local scratch), with the same result as
-// ComputeMeasure(measure, a, b) or kBelowMinSim under pruning. Measures
-// without a batched kernel (Monge-Elkan, metaphone, Smith-Waterman, LCS)
-// fall through to ComputeMeasure and never prune.
-[[nodiscard]] double BatchMeasure(Measure measure, std::string_view a,
-                                  std::string_view b, double min_sim);
-
-/// True when `measure` has a batched kernel (and an O(1) upper bound).
-[[nodiscard]] bool HasBatchKernel(Measure measure);
 
 }  // namespace simkernel
 }  // namespace tglink

@@ -1,11 +1,9 @@
 #include "tglink/similarity/field_similarity.h"
 
 #include "tglink/similarity/alignment.h"
+#include "tglink/similarity/batch_kernels.h"
 #include "tglink/similarity/double_metaphone.h"
-#include "tglink/similarity/edit_distance.h"
-#include "tglink/similarity/jaro.h"
 #include "tglink/similarity/phonetic.h"
-#include "tglink/similarity/qgram.h"
 #include "tglink/similarity/token.h"
 
 namespace tglink {
@@ -40,28 +38,27 @@ const char* MeasureName(Measure measure) {
   return "?";
 }
 
-double ComputeMeasure(Measure measure, std::string_view a,
-                      std::string_view b) {
+double ComputeMeasure(Measure measure, std::string_view a, std::string_view b,
+                      double min_sim) {
   if (a.empty() && b.empty()) return 1.0;
   if (a.empty() || b.empty()) return 0.0;
+  const simkernel::StringRef ra = simkernel::MakeRef(a);
+  const simkernel::StringRef rb = simkernel::MakeRef(b);
   switch (measure) {
     case Measure::kExact:
       return a == b ? 1.0 : 0.0;
     case Measure::kQGramDice:
-      return BigramDice(a, b);
-    case Measure::kTrigramDice: {
-      QGramOptions opts;
-      opts.q = 3;
-      return QGramSimilarity(a, b, opts);
-    }
+      return simkernel::QGramDiceKernel(a, b, 2, min_sim);
+    case Measure::kTrigramDice:
+      return simkernel::QGramDiceKernel(a, b, 3, min_sim);
     case Measure::kLevenshtein:
-      return LevenshteinSimilarity(a, b);
+      return simkernel::LevenshteinKernel(ra, rb, min_sim);
     case Measure::kDamerau:
-      return DamerauSimilarity(a, b);
+      return simkernel::DamerauKernel(ra, rb, min_sim);
     case Measure::kJaro:
-      return JaroSimilarity(a, b);
+      return simkernel::JaroKernel(ra, rb, min_sim);
     case Measure::kJaroWinkler:
-      return JaroWinklerSimilarity(a, b);
+      return simkernel::JaroWinklerKernel(ra, rb, min_sim);
     case Measure::kMongeElkan:
       return MongeElkanJaroWinkler(a, b);
     case Measure::kSoundexEqual:

@@ -29,7 +29,13 @@ enum class Measure : uint8_t {
 
 /// Computes the chosen measure on two already-normalized values.
 /// Conventions shared by all measures: both empty -> 1, one empty -> 0.
-[[nodiscard]] double ComputeMeasure(Measure measure, std::string_view a, std::string_view b);
+/// The measures with an allocation-free kernel (exact, both Dice sizes, the
+/// edit and Jaro families, Soundex — see batch_kernels.h) run it with
+/// `min_sim` and may return simkernel::kBelowMinSim when a bound proves the
+/// value is below a positive `min_sim`; the rest ignore it. At the default
+/// `min_sim = 0` every measure returns its exact value.
+[[nodiscard]] double ComputeMeasure(Measure measure, std::string_view a,
+                                    std::string_view b, double min_sim = 0.0);
 
 }  // namespace tglink
 

@@ -1,7 +1,6 @@
 #include "tglink/similarity/sim_batch.h"
 
 #include <algorithm>
-#include <atomic>
 #include <string_view>
 #include <unordered_map>
 #include <utility>
@@ -16,8 +15,6 @@
 namespace tglink {
 
 namespace {
-
-std::atomic<bool> g_batch_kernels_enabled{true};
 
 /// Per-thread pair-evaluation scratch for AggregateWithThreshold, sized to
 /// the spec count once and reused — no per-pair heap work.
@@ -49,14 +46,6 @@ PairScratch& ThreadPairScratch() {
 
 }  // namespace
 
-bool BatchKernelsEnabled() {
-  return g_batch_kernels_enabled.load(std::memory_order_relaxed);
-}
-
-void SetBatchKernelsEnabled(bool enabled) {
-  g_batch_kernels_enabled.store(enabled, std::memory_order_relaxed);
-}
-
 SimBatch::SimBatch(const SimilarityFunction& fn,
                    const CensusDataset& old_dataset,
                    const CensusDataset& new_dataset)
@@ -79,10 +68,10 @@ SimBatch::SimBatch(const SimilarityFunction& fn,
         plan = Plan::kExactId;
         break;
       case Measure::kQGramDice:
-        plan = Plan::kBigramDice;
+        plan = Plan::kGram2Dice;
         break;
       case Measure::kTrigramDice:
-        plan = Plan::kTrigramDice;
+        plan = Plan::kGram3Dice;
         break;
       case Measure::kLevenshtein:
         plan = Plan::kLevenshtein;
@@ -115,7 +104,7 @@ SimBatch::SimBatch(const SimilarityFunction& fn,
     if (plan.table < 0) continue;
     FieldTable& table = tables_[plan.table];
     const size_t n = table.num_values();
-    if (plan.plan == Plan::kBigramDice && table.gram2_starts.empty()) {
+    if (plan.plan == Plan::kGram2Dice && table.gram2_starts.empty()) {
       table.gram2_starts.reserve(n + 1);
       table.gram2_starts.push_back(0);
       for (uint32_t vid = 0; vid < n; ++vid) {
@@ -125,7 +114,7 @@ SimBatch::SimBatch(const SimilarityFunction& fn,
             static_cast<uint32_t>(table.gram2_data.size()));
       }
     }
-    if (plan.plan == Plan::kTrigramDice && table.gram3_starts.empty()) {
+    if (plan.plan == Plan::kGram3Dice && table.gram3_starts.empty()) {
       table.gram3_starts.reserve(n + 1);
       table.gram3_starts.push_back(0);
       for (uint32_t vid = 0; vid < n; ++vid) {
@@ -214,7 +203,7 @@ double SimBatch::PresentValue(size_t spec_index, uint32_t va, uint32_t vb,
       const FieldTable& t = tables_[plan.table];
       return t.soundex_codes[va] == t.soundex_codes[vb] ? 1.0 : 0.0;
     }
-    case Plan::kBigramDice: {
+    case Plan::kGram2Dice: {
       if (va == vb) return 1.0;
       const FieldTable& t = tables_[plan.table];
       return simkernel::DiceProfileKernel(
@@ -223,7 +212,7 @@ double SimBatch::PresentValue(size_t spec_index, uint32_t va, uint32_t vb,
           t.gram2_data.data() + t.gram2_starts[vb],
           t.gram2_starts[vb + 1] - t.gram2_starts[vb], kernel_min);
     }
-    case Plan::kTrigramDice: {
+    case Plan::kGram3Dice: {
       if (va == vb) return 1.0;
       const FieldTable& t = tables_[plan.table];
       return simkernel::DiceProfileKernel(
@@ -371,7 +360,7 @@ double SimBatch::AggregateWithThreshold(RecordId old_id, RecordId new_id,
         ub = st.value;
         len_ub = ub;
         break;
-      case Plan::kBigramDice: {
+      case Plan::kGram2Dice: {
         const FieldTable& t = tables_[plan.table];
         if (st.va == st.vb) {
           st.value = 1.0;
@@ -384,7 +373,7 @@ double SimBatch::AggregateWithThreshold(RecordId old_id, RecordId new_id,
         }
         break;
       }
-      case Plan::kTrigramDice: {
+      case Plan::kGram3Dice: {
         const FieldTable& t = tables_[plan.table];
         if (st.va == st.vb) {
           st.value = 1.0;

@@ -5,10 +5,10 @@
 // cached lengths and first chars, precomputed padded q-gram profiles and
 // packed Soundex signatures), then evaluates whole-pair aggregate
 // similarities by dispatching each component to an allocation-free kernel
-// (batch_kernels.h) that reads those flat tables. Aggregation runs through
-// SimilarityFunction::AggregateWith — the same arithmetic as the scalar
-// path — so Aggregate(o, n) is bit-identical to
-// fn.AggregateSimilarity(old.record(o), new.record(n)).
+// (batch_kernels.h) that reads those flat tables. The kernels are the same
+// ones ComputeMeasure runs on plain strings, and aggregation runs through
+// SimilarityFunction::AggregateWith, so Aggregate(o, n) is bit-identical
+// to fn.AggregateSimilarity(old.record(o), new.record(n)).
 //
 // Threshold-aware pruning (AggregateWithThreshold): before any kernel runs,
 // an O(1) per-pair screen combines the per-component upper bounds (length
@@ -23,7 +23,7 @@
 // can still bail in O(1) mid-aggregate ("simkernel.pruned_by_cutoff").
 // Every rejection is sound: pruned ⇒ the exact aggregate is < min_sim
 // (the property tests pin this), so callers that keep pairs with
-// sim >= min_sim see exactly the scalar keep-set.
+// sim >= min_sim see exactly the unpruned keep-set.
 //
 // Measures without a batched kernel (Monge-Elkan, double-metaphone,
 // Smith-Waterman, LCS) are delegated to a caller-supplied fallback — in
@@ -46,28 +46,6 @@
 #include "tglink/similarity/composite.h"
 
 namespace tglink {
-
-/// Process-wide switch between the batched kernels (default) and the scalar
-/// reference path. Read by SimCache at construction time; flipping it does
-/// not affect already-built caches. The two modes produce bit-identical
-/// results — the toggle exists for A/B timing and for regression tests that
-/// prove exactly that.
-[[nodiscard]] bool BatchKernelsEnabled();
-void SetBatchKernelsEnabled(bool enabled);
-
-/// RAII toggle for tests/benches.
-class ScopedBatchKernels {
- public:
-  explicit ScopedBatchKernels(bool enabled) : prev_(BatchKernelsEnabled()) {
-    SetBatchKernelsEnabled(enabled);
-  }
-  ~ScopedBatchKernels() { SetBatchKernelsEnabled(prev_); }
-  ScopedBatchKernels(const ScopedBatchKernels&) = delete;
-  ScopedBatchKernels& operator=(const ScopedBatchKernels&) = delete;
-
- private:
-  bool prev_;
-};
 
 class SimBatch {
  public:
@@ -105,33 +83,10 @@ class SimBatch {
 
   [[nodiscard]] const SimilarityFunction& fn() const { return fn_; }
 
-  // -- Substrate introspection (scalar-mode memo, tests, benches) ----------
-
-  /// True when specs()[i] reads an interned string table (i.e. is not an
-  /// age component).
-  [[nodiscard]] bool SpecUsesTable(size_t spec_index) const {
-    return plans_[spec_index].table >= 0;
-  }
-
-  /// Interned value ids of a record for spec i; SpecUsesTable(i) required.
-  [[nodiscard]] uint32_t OldValueId(size_t spec_index, RecordId r) const {
-    return tables_[plans_[spec_index].table].old_ids[r];
-  }
-  [[nodiscard]] uint32_t NewValueId(size_t spec_index, RecordId r) const {
-    return tables_[plans_[spec_index].table].new_ids[r];
-  }
-
-  /// Arena view of one interned value; SpecUsesTable(i) required.
-  [[nodiscard]] simkernel::StringRef ValueRef(size_t spec_index,
-                                              uint32_t vid) const {
-    return tables_[plans_[spec_index].table].Ref(vid);
-  }
-
-  /// First byte of an interned value (0 for the empty/missing value);
-  /// SpecUsesTable(i) required.
-  [[nodiscard]] unsigned char FirstChar(size_t spec_index,
-                                        uint32_t vid) const {
-    return tables_[plans_[spec_index].table].first_char[vid];
+  /// True when specs()[i] has no kernel and is scored through the
+  /// fallback (Monge-Elkan, double-metaphone, Smith-Waterman, LCS).
+  [[nodiscard]] bool UsesFallback(size_t spec_index) const {
+    return plans_[spec_index].plan == Plan::kFallback;
   }
 
   /// Total distinct values interned across all field tables.
@@ -140,10 +95,10 @@ class SimBatch {
  private:
   /// How one component of fn.specs() is evaluated.
   enum class Plan : uint8_t {
-    kAge,          // TemporalAgeSimilarity on record ints
-    kExactId,      // interned-id equality
-    kBigramDice,   // precomputed padded bigram profiles
-    kTrigramDice,  // precomputed padded trigram profiles
+    kAge,        // TemporalAgeSimilarity on record ints
+    kExactId,    // interned-id equality
+    kGram2Dice,  // precomputed padded bigram profiles
+    kGram3Dice,  // precomputed padded trigram profiles
     kLevenshtein,
     kDamerau,
     kJaro,

@@ -4,7 +4,6 @@
 
 #include "tglink/obs/memprof.h"
 #include "tglink/obs/metrics.h"
-#include "tglink/similarity/batch_kernels.h"
 #include "tglink/util/logging.h"
 #include "tglink/util/thread_annotations.h"
 
@@ -13,20 +12,10 @@ namespace tglink {
 SimCache::SimCache(const SimilarityFunction& fn,
                    const CensusDataset& old_dataset,
                    const CensusDataset& new_dataset)
-    : fn_(fn),
-      old_dataset_(old_dataset),
-      new_dataset_(new_dataset),
-      use_batch_(BatchKernelsEnabled()),
-      batch_(fn, old_dataset, new_dataset) {
+    : fn_(fn), batch_(fn, old_dataset, new_dataset) {
   spec_caches_.resize(fn.specs().size());
   for (size_t i = 0; i < fn.specs().size(); ++i) {
-    const AttributeSpec& spec = fn.specs()[i];
-    if (spec.field == Field::kAge) continue;  // temporal arithmetic, no memo
-    // Scalar mode memoizes everything but exact equality (cheaper than the
-    // lookup); batched mode memoizes only the measures without a kernel.
-    const bool memoize = use_batch_ ? !simkernel::HasBatchKernel(spec.measure)
-                                    : spec.measure != Measure::kExact;
-    if (!memoize) continue;
+    if (!batch_.UsesFallback(i)) continue;
     spec_caches_[i].enabled = true;
     spec_caches_[i].shards = std::make_unique<Shard[]>(kNumShards);
   }
@@ -87,35 +76,11 @@ double SimCache::MemoizedMeasure(size_t spec_index, uint32_t old_vid,
 
 double SimCache::Aggregate(RecordId old_id, RecordId new_id) const {
   TGLINK_COUNTER_INC("similarity.agg_calls");
-  if (use_batch_) return batch_.Aggregate(old_id, new_id, fallback_);
-  const PersonRecord& a = old_dataset_.record(old_id);
-  const PersonRecord& b = new_dataset_.record(new_id);
-  return fn_.AggregateWith([this, old_id, new_id, &a, &b](
-                               size_t i, bool* missing_one,
-                               bool* missing_both) {
-    const AttributeSpec& spec = fn_.specs()[i];
-    if (!spec_caches_[i].enabled) {
-      return fn_.ComponentSimilarity(spec, a, b, missing_one, missing_both);
-    }
-    // Mirror ComponentSimilarity's missing-value protocol exactly; the
-    // memo only ever holds both-present measure results.
-    const bool ma = IsFieldMissing(a, spec.field);
-    const bool mb = IsFieldMissing(b, spec.field);
-    *missing_both = ma && mb;
-    *missing_one = (ma || mb) && !*missing_both;
-    if (ma || mb) return 0.0;
-    // The arena views hold the same bytes GetFieldValue returns, without
-    // re-materializing the strings per pair.
-    const uint32_t va = batch_.OldValueId(i, old_id);
-    const uint32_t vb = batch_.NewValueId(i, new_id);
-    return MemoizedMeasure(i, va, vb, batch_.ValueRef(i, va).view(),
-                           batch_.ValueRef(i, vb).view());
-  });
+  return batch_.Aggregate(old_id, new_id, fallback_);
 }
 
 double SimCache::AggregateWithThreshold(RecordId old_id, RecordId new_id,
                                         double min_sim) const {
-  if (!use_batch_) return Aggregate(old_id, new_id);  // counts agg_calls
   TGLINK_COUNTER_INC("similarity.agg_calls");
   return batch_.AggregateWithThreshold(old_id, new_id, min_sim, fallback_);
 }

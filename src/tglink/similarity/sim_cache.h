@@ -1,28 +1,19 @@
-// Similarity evaluation for the pre-matching hot path, in one of two modes
-// chosen at construction from the process-wide BatchKernelsEnabled() toggle
-// (see sim_batch.h). Both modes aggregate through
-// SimilarityFunction::AggregateWith, so Aggregate(o, n) is bit-identical to
-// fn.AggregateSimilarity(old.record(o), new.record(n)) either way.
-//
-// Batched mode (default): components with an allocation-free kernel
-// (exact, q-gram Dice, edit/Jaro family, Soundex — see
-// simkernel::HasBatchKernel) are evaluated directly against SimBatch's
-// interned arena + precomputed profiles; they are cheap enough that a memo
-// lookup would cost more than the kernel. Only the heavyweight measures
-// without a kernel (Monge-Elkan, double-metaphone, Smith-Waterman, LCS) go
-// through the sharded memo. AggregateWithThreshold additionally applies the
-// bound-pruning screen and returns kPruned for pairs provably below the
-// cutoff.
-//
-// Scalar mode: the pre-batch behavior, kept verbatim as the reference
-// oracle — every non-age, non-exact component is memoized on its interned
-// (value, value) id pair, with ComputeMeasure filling misses. Census name
-// pools are heavily skewed (the paper's Table 1: a few thousand distinct
-// first-name/surname values over tens of thousands of records), so repeated
-// comparisons hit a hash lookup instead of re-running q-gram/Jaro/metaphone.
-// AggregateWithThreshold never prunes in scalar mode — it returns the exact
-// aggregate and callers apply their >= threshold filter as before, so the
-// keep-set is identical across modes.
+// Similarity evaluation for the pre-matching hot path. Aggregate and
+// AggregateWithThreshold score record pairs through SimBatch (sim_batch.h):
+// components with an allocation-free kernel (exact, q-gram Dice, the
+// edit/Jaro family, Soundex) run directly against its interned arena and
+// precomputed profiles — cheap enough that a memo lookup would cost more
+// than the kernel. Only the measures without a kernel (Monge-Elkan,
+// double-metaphone, Smith-Waterman, LCS) go through the sharded memo here,
+// keyed on the interned (value, value) id pair, with ComputeMeasure filling
+// misses. Census name pools are heavily skewed (the paper's Table 1: a few
+// thousand distinct values over tens of thousands of records), so repeated
+// comparisons of those heavyweight measures hit a hash lookup.
+// Aggregation runs through SimilarityFunction::AggregateWith, so
+// Aggregate(o, n) is bit-identical to
+// fn.AggregateSimilarity(old.record(o), new.record(n)).
+// AggregateWithThreshold additionally applies SimBatch's bound-pruning
+// screen and returns kPruned for pairs provably below the cutoff.
 //
 // Correctness: memoized values are exact ComputeMeasure results — pure
 // functions of the two strings, independent of any threshold — so results
@@ -54,12 +45,11 @@ namespace tglink {
 class SimCache {
  public:
   /// Sentinel returned by AggregateWithThreshold for pairs provably below
-  /// min_sim (batched mode only); real aggregates are in [0, 1].
+  /// min_sim; real aggregates are in [0, 1].
   static constexpr double kPruned = SimBatch::kPruned;
 
   /// Interns the field values of every component of `fn` over both
-  /// datasets. All three arguments must outlive the cache. The kernel mode
-  /// is captured here from BatchKernelsEnabled().
+  /// datasets. All three arguments must outlive the cache.
   SimCache(const SimilarityFunction& fn, const CensusDataset& old_dataset,
            const CensusDataset& new_dataset);
 
@@ -75,22 +65,19 @@ class SimCache {
   /// fn.AggregateSimilarity(old.record(old_id), new.record(new_id)).
   [[nodiscard]] double Aggregate(RecordId old_id, RecordId new_id) const;
 
-  /// Exact agg_sim, or kPruned when the batched bounds prove it is below
+  /// Exact agg_sim, or kPruned when the kernel bounds prove it is below
   /// min_sim. Callers keeping pairs with sim >= min_sim can treat kPruned
   /// as any below-threshold value; the keep-set equals the exact one.
-  /// Scalar mode (and min_sim <= 0) always returns the exact aggregate.
+  /// min_sim <= 0 always returns the exact aggregate.
   [[nodiscard]] double AggregateWithThreshold(RecordId old_id,
                                               RecordId new_id,
                                               double min_sim) const;
 
   [[nodiscard]] const SimilarityFunction& fn() const { return fn_; }
 
-  /// True when this instance routes through the batched kernels.
-  [[nodiscard]] bool batched() const { return use_batch_; }
-
   /// Memo lookup statistics for this cache instance (the global
-  /// "simcache.*" counters aggregate across instances). In batched mode
-  /// only fallback-measure components generate memo traffic.
+  /// "simcache.*" counters aggregate across instances). Only components
+  /// without a kernel generate memo traffic.
   [[nodiscard]] uint64_t hits() const {
     return hits_.load(std::memory_order_relaxed);
   }
@@ -110,9 +97,8 @@ class SimCache {
     std::unordered_map<uint64_t, double> memo TGLINK_GUARDED_BY(mu);
   };
 
-  /// Memo state of one component of fn.specs(). Which components get a
-  /// memo depends on the mode: scalar memoizes every non-age, non-exact
-  /// measure; batched memoizes only the measures without a kernel.
+  /// Memo state of one component of fn.specs(); enabled exactly for the
+  /// components SimBatch scores through its fallback.
   struct SpecCache {
     bool enabled = false;
     std::unique_ptr<Shard[]> shards;
@@ -131,10 +117,7 @@ class SimCache {
                                        std::string_view b) const;
 
   const SimilarityFunction& fn_;
-  const CensusDataset& old_dataset_;
-  const CensusDataset& new_dataset_;
-  bool use_batch_;
-  SimBatch batch_;  // interning substrate for both modes
+  SimBatch batch_;
   std::vector<SpecCache> spec_caches_;  // parallel to fn.specs()
   SimBatch::FallbackFn fallback_;       // routes into MemoizedMeasure
   mutable std::atomic<uint64_t> hits_{0};

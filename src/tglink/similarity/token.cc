@@ -4,7 +4,7 @@
 #include <string>
 #include <vector>
 
-#include "tglink/similarity/jaro.h"
+#include "tglink/similarity/batch_kernels.h"
 #include "tglink/util/strings.h"
 
 namespace tglink {
@@ -35,7 +35,8 @@ double MongeElkanSimilarity(std::string_view a, std::string_view b,
 
 double MongeElkanJaroWinkler(std::string_view a, std::string_view b) {
   return MongeElkanSimilarity(a, b, [](std::string_view x, std::string_view y) {
-    return JaroWinklerSimilarity(x, y);
+    return simkernel::JaroWinklerKernel(simkernel::MakeRef(x),
+                                        simkernel::MakeRef(y), 0.0);
   });
 }
 

@@ -1,46 +1,64 @@
-#include "tglink/similarity/jaro.h"
+// Jaro and Jaro-Winkler — the standard matcher family for short personal
+// names. Every value is checked through the library (ComputeMeasure, i.e.
+// the scratch-buffer kernels) and the vector<bool> reference oracle.
 
 #include <gtest/gtest.h>
+
+#include "tglink/similarity/field_similarity.h"
+#include "tests/reference_measures.h"
 
 namespace tglink {
 namespace {
 
+double Jaro(std::string_view a, std::string_view b) {
+  const double lib = ComputeMeasure(Measure::kJaro, a, b);
+  EXPECT_EQ(lib, reference::JaroSimilarity(a, b)) << a << " / " << b;
+  return lib;
+}
+
+double JaroWinkler(std::string_view a, std::string_view b) {
+  const double lib = ComputeMeasure(Measure::kJaroWinkler, a, b);
+  EXPECT_EQ(lib, reference::JaroWinklerSimilarity(a, b)) << a << " / " << b;
+  return lib;
+}
+
 TEST(JaroTest, KnownValues) {
   // Classic textbook examples.
-  EXPECT_NEAR(JaroSimilarity("martha", "marhta"), 0.9444, 1e-3);
-  EXPECT_NEAR(JaroSimilarity("dixon", "dicksonx"), 0.7667, 1e-3);
-  EXPECT_NEAR(JaroSimilarity("jellyfish", "smellyfish"), 0.8963, 1e-3);
+  EXPECT_NEAR(Jaro("martha", "marhta"), 0.9444, 1e-3);
+  EXPECT_NEAR(Jaro("dixon", "dicksonx"), 0.7667, 1e-3);
+  EXPECT_NEAR(Jaro("jellyfish", "smellyfish"), 0.8963, 1e-3);
 }
 
 TEST(JaroTest, EdgeCases) {
-  EXPECT_DOUBLE_EQ(JaroSimilarity("", ""), 1.0);
-  EXPECT_DOUBLE_EQ(JaroSimilarity("", "abc"), 0.0);
-  EXPECT_DOUBLE_EQ(JaroSimilarity("abc", "abc"), 1.0);
-  EXPECT_DOUBLE_EQ(JaroSimilarity("abc", "xyz"), 0.0);
-  EXPECT_DOUBLE_EQ(JaroSimilarity("a", "a"), 1.0);
+  EXPECT_DOUBLE_EQ(Jaro("", ""), 1.0);
+  EXPECT_DOUBLE_EQ(Jaro("", "abc"), 0.0);
+  EXPECT_DOUBLE_EQ(Jaro("abc", "abc"), 1.0);
+  EXPECT_DOUBLE_EQ(Jaro("abc", "xyz"), 0.0);
+  EXPECT_DOUBLE_EQ(Jaro("a", "a"), 1.0);
 }
 
 TEST(JaroWinklerTest, PrefixBoostsButNeverExceedsOne) {
-  const double jaro = JaroSimilarity("ashworth", "ashword");
-  const double jw = JaroWinklerSimilarity("ashworth", "ashword");
+  const double jaro = Jaro("ashworth", "ashword");
+  const double jw = JaroWinkler("ashworth", "ashword");
   EXPECT_GT(jw, jaro);
   EXPECT_LE(jw, 1.0);
 }
 
 TEST(JaroWinklerTest, KnownValue) {
-  EXPECT_NEAR(JaroWinklerSimilarity("martha", "marhta"), 0.9611, 1e-3);
+  EXPECT_NEAR(JaroWinkler("martha", "marhta"), 0.9611, 1e-3);
 }
 
 TEST(JaroWinklerTest, NoCommonPrefixEqualsJaro) {
-  EXPECT_DOUBLE_EQ(JaroWinklerSimilarity("xanthe", "anthex"),
-                   JaroSimilarity("xanthe", "anthex"));
+  EXPECT_DOUBLE_EQ(JaroWinkler("xanthe", "anthex"), Jaro("xanthe", "anthex"));
 }
 
-TEST(JaroWinklerTest, PrefixScaleClamped) {
-  // A scale > 0.25 would push results past 1; the implementation clamps.
-  const double jw = JaroWinklerSimilarity("aaaa", "aaab", 5.0);
-  EXPECT_LE(jw, 1.0);
-  EXPECT_GE(jw, JaroSimilarity("aaaa", "aaab"));
+TEST(JaroWinklerTest, PrefixBoostCapsAtFourCharacters) {
+  // "aaaaa" vs "aaaab": jaro = (4/5 + 4/5 + 1) / 3; the shared prefix is
+  // 4 long, so jw = jaro + 4 * 0.1 * (1 - jaro).
+  const double jaro = (0.8 + 0.8 + 1.0) / 3.0;
+  EXPECT_DOUBLE_EQ(Jaro("aaaaa", "aaaab"), jaro);
+  EXPECT_DOUBLE_EQ(JaroWinkler("aaaaa", "aaaab"),
+                   jaro + 4 * 0.1 * (1.0 - jaro));
 }
 
 class JaroPropertyTest
@@ -48,13 +66,13 @@ class JaroPropertyTest
 
 TEST_P(JaroPropertyTest, SymmetricBoundedAndReflexive) {
   const auto& [a, b] = GetParam();
-  const double ab = JaroSimilarity(a, b);
-  EXPECT_DOUBLE_EQ(ab, JaroSimilarity(b, a));
+  const double ab = Jaro(a, b);
+  EXPECT_DOUBLE_EQ(ab, Jaro(b, a));
   EXPECT_GE(ab, 0.0);
   EXPECT_LE(ab, 1.0);
-  EXPECT_DOUBLE_EQ(JaroSimilarity(a, a), 1.0);
-  const double jw = JaroWinklerSimilarity(a, b);
-  EXPECT_DOUBLE_EQ(jw, JaroWinklerSimilarity(b, a));
+  EXPECT_DOUBLE_EQ(Jaro(a, a), 1.0);
+  const double jw = JaroWinkler(a, b);
+  EXPECT_DOUBLE_EQ(jw, JaroWinkler(b, a));
   EXPECT_GE(jw + 1e-12, ab);
   EXPECT_LE(jw, 1.0);
 }

@@ -14,7 +14,6 @@
 
 #include "tglink/linkage/config.h"
 #include "tglink/obs/metrics.h"
-#include "tglink/similarity/sim_batch.h"
 #include "tglink/similarity/sim_cache.h"
 #include "tests/paper_example.h"
 
@@ -158,13 +157,18 @@ TEST(ParallelTest, PoolHammerManyBatchesUnderContention) {
 TEST(ParallelTest, SimCacheHammerConcurrentLookupsStayBitIdentical) {
   // tsan target: pool workers hitting the sharded memo concurrently, with
   // every distinct value pair inserted exactly while others read. Results
-  // must equal the uncached serial scores bit for bit. Scalar mode — the
-  // batched path bypasses the memo for every default-config measure.
-  ScopedBatchKernels scalar_mode(false);
+  // must equal the uncached serial scores bit for bit. Monge-Elkan and
+  // double-metaphone have no kernel, so SimCache memoizes them; the Dice
+  // and age components score lock-free alongside.
   ThreadCountGuard guard;
   const CensusDataset old_d = MakeCensus1871();
   const CensusDataset new_d = MakeCensus1881();
-  SimilarityFunction fn = configs::DefaultConfig().sim_func;
+  SimilarityFunction fn({{Field::kFirstName, Measure::kMongeElkan, 2.0},
+                         {Field::kSurname, Measure::kDoubleMetaphone, 2.0},
+                         {Field::kAddress, Measure::kMongeElkan, 1.0},
+                         {Field::kSurname, Measure::kQGramDice, 1.0},
+                         {Field::kAge, Measure::kExact, 1.0}},
+                        /*threshold=*/0.7);
   fn.set_year_gap(10);
 
   const size_t n_pairs = old_d.num_records() * new_d.num_records();
@@ -194,11 +198,10 @@ TEST(ParallelTest, SimCacheHammerConcurrentLookupsStayBitIdentical) {
 }
 
 TEST(ParallelTest, SimBatchHammerThresholdScoringStaysBitIdentical) {
-  // tsan target for the batched kernels: lock-free reads over the immutable
+  // tsan target for the kernels: lock-free reads over the immutable
   // arena plus thread-local kernel scratch, with the pruning screen active.
   // Non-pruned values must equal the serial direct scores bit for bit, and
   // pruning must never drop a pair at or above the cutoff.
-  ScopedBatchKernels batched_mode(true);
   ThreadCountGuard guard;
   const CensusDataset old_d = MakeCensus1871();
   const CensusDataset new_d = MakeCensus1881();

@@ -1,116 +1,87 @@
-#include "tglink/similarity/qgram.h"
+// Padded q-gram Dice — the paper's primary attribute matcher (Table 2 uses
+// "q-gram" for first name, surname, address and occupation). Every known
+// value is checked through the library (ComputeMeasure, i.e. the
+// allocation-free profile kernel) and through the string-multiset reference
+// oracle.
 
-#include <algorithm>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "tglink/similarity/field_similarity.h"
+#include "tests/reference_measures.h"
+
 namespace tglink {
 namespace {
 
-/// Reference coefficient computed from the public string-gram API — the
-/// pre-packed implementation of QGramSimilarity, kept here as the oracle
-/// for the packed fast path.
-double ReferenceSimilarity(std::string_view a, std::string_view b,
-                           const QGramOptions& opts) {
-  if (a.empty() && b.empty()) return 1.0;
-  if (a.empty() || b.empty()) return 0.0;
-  if (a == b) return 1.0;
-  const std::vector<std::string> ga = QGrams(a, opts);
-  const std::vector<std::string> gb = QGrams(b, opts);
-  if (ga.empty() && gb.empty()) return 1.0;
-  if (ga.empty() || gb.empty()) return 0.0;
-  size_t i = 0, j = 0, c = 0;
-  while (i < ga.size() && j < gb.size()) {
-    if (ga[i] < gb[j]) {
-      ++i;
-    } else if (gb[j] < ga[i]) {
-      ++j;
-    } else {
-      ++c, ++i, ++j;
-    }
-  }
-  const double common = static_cast<double>(c);
-  switch (opts.coefficient) {
-    case QGramCoefficient::kDice:
-      return 2.0 * common / static_cast<double>(ga.size() + gb.size());
-    case QGramCoefficient::kJaccard:
-      return common / static_cast<double>(ga.size() + gb.size() - common);
-    case QGramCoefficient::kOverlap:
-      return common / static_cast<double>(std::min(ga.size(), gb.size()));
-  }
-  return 0.0;
+/// Bigram Dice through both implementations; they must agree bit for bit.
+double Bigram(std::string_view a, std::string_view b) {
+  const double lib = ComputeMeasure(Measure::kQGramDice, a, b);
+  EXPECT_EQ(lib, reference::QGramDice(a, b, 2)) << a << " / " << b;
+  return lib;
+}
+
+double Trigram(std::string_view a, std::string_view b) {
+  const double lib = ComputeMeasure(Measure::kTrigramDice, a, b);
+  EXPECT_EQ(lib, reference::QGramDice(a, b, 3)) << a << " / " << b;
+  return lib;
 }
 
 TEST(QGramTest, BigramDecompositionPadded) {
-  QGramOptions opts;  // q=2, padded
-  const auto grams = QGrams("ab", opts);
   // "#ab$" -> {"#a", "ab", "b$"} sorted.
-  EXPECT_EQ(grams, (std::vector<std::string>{"#a", "ab", "b$"}));
-}
-
-TEST(QGramTest, BigramDecompositionUnpadded) {
-  QGramOptions opts;
-  opts.padded = false;
-  EXPECT_EQ(QGrams("abc", opts), (std::vector<std::string>{"ab", "bc"}));
-  // Shorter than q: single gram with the whole string.
-  EXPECT_EQ(QGrams("a", opts), (std::vector<std::string>{"a"}));
-  EXPECT_TRUE(QGrams("", opts).empty());
+  EXPECT_EQ(reference::PaddedQGrams("ab", 2),
+            (std::vector<std::string>{"#a", "ab", "b$"}));
+  // "##a$$" -> {"##a", "#a$", "a$$"}.
+  EXPECT_EQ(reference::PaddedQGrams("a", 3),
+            (std::vector<std::string>{"##a", "#a$", "a$$"}));
 }
 
 TEST(QGramTest, IdenticalStringsScoreOne) {
-  EXPECT_DOUBLE_EQ(BigramDice("ashworth", "ashworth"), 1.0);
-  EXPECT_DOUBLE_EQ(BigramDice("", ""), 1.0);
+  EXPECT_DOUBLE_EQ(Bigram("ashworth", "ashworth"), 1.0);
+  EXPECT_DOUBLE_EQ(Bigram("", ""), 1.0);
+  EXPECT_DOUBLE_EQ(Trigram("ab", "ab"), 1.0);
 }
 
 TEST(QGramTest, EmptyVsNonEmptyScoresZero) {
-  EXPECT_DOUBLE_EQ(BigramDice("", "x"), 0.0);
-  EXPECT_DOUBLE_EQ(BigramDice("x", ""), 0.0);
+  EXPECT_DOUBLE_EQ(Bigram("", "x"), 0.0);
+  EXPECT_DOUBLE_EQ(Bigram("x", ""), 0.0);
+  EXPECT_DOUBLE_EQ(Trigram("", "x"), 0.0);
 }
 
 TEST(QGramTest, DisjointStringsScoreZero) {
-  QGramOptions opts;
-  opts.padded = false;  // padding shares sentinel grams only with equal ends
-  EXPECT_DOUBLE_EQ(QGramSimilarity("abab", "cdcd", opts), 0.0);
+  // Different first and last characters: not even a sentinel gram shared.
+  EXPECT_DOUBLE_EQ(Bigram("abab", "cdcd"), 0.0);
+  EXPECT_DOUBLE_EQ(Trigram("abab", "cdcd"), 0.0);
 }
 
 TEST(QGramTest, KnownDiceValue) {
-  // Unpadded bigrams: "smith" -> {sm,mi,it,th}, "smyth" -> {sm,my,yt,th};
-  // common = 2, dice = 2*2/(4+4) = 0.5.
-  QGramOptions opts;
-  opts.padded = false;
-  EXPECT_DOUBLE_EQ(QGramSimilarity("smith", "smyth", opts), 0.5);
-}
-
-TEST(QGramTest, CoefficientOrdering) {
-  // overlap >= dice >= jaccard for any pair.
-  const char* pairs[][2] = {
-      {"smith", "smyth"}, {"ashworth", "ashword"}, {"john", "jon"}};
-  for (const auto& p : pairs) {
-    QGramOptions dice, jac, over;
-    jac.coefficient = QGramCoefficient::kJaccard;
-    over.coefficient = QGramCoefficient::kOverlap;
-    const double d = QGramSimilarity(p[0], p[1], dice);
-    const double j = QGramSimilarity(p[0], p[1], jac);
-    const double o = QGramSimilarity(p[0], p[1], over);
-    EXPECT_LE(j, d + 1e-12);
-    EXPECT_LE(d, o + 1e-12);
-  }
+  // Padded bigrams: "smith" -> {#s,sm,mi,it,th,h$}, "smyth" ->
+  // {#s,sm,my,yt,th,h$}; common = 4, dice = 2*4/(6+6).
+  EXPECT_DOUBLE_EQ(Bigram("smith", "smyth"), 2.0 * 4 / 12);
+  // Padded trigrams: {##s,#sm,smi,mit,ith,th$,h$$} vs
+  // {##s,#sm,smy,myt,yth,th$,h$$}; common = 4, dice = 2*4/(7+7).
+  EXPECT_DOUBLE_EQ(Trigram("smith", "smyth"), 2.0 * 4 / 14);
 }
 
 TEST(QGramTest, MultisetSemanticsCountDuplicates) {
-  // "aaa" unpadded bigrams = {aa, aa}; "aa" = {aa}. common = 1.
-  QGramOptions opts;
-  opts.padded = false;
-  EXPECT_DOUBLE_EQ(QGramSimilarity("aaa", "aa", opts), 2.0 * 1 / (2 + 1));
+  // "aaa" -> {#a,aa,aa,a$}; "aa" -> {#a,aa,a$}. common = 3 (one "aa" is
+  // unmatched), dice = 2*3/(4+3).
+  EXPECT_DOUBLE_EQ(Bigram("aaa", "aa"), 2.0 * 3 / 7);
 }
 
-TEST(QGramTest, PackedFastPathMatchesStringDecompositionExactly) {
-  // The packed path (q <= 7) must return the same bits as the string-gram
-  // oracle for every padded/unpadded/coefficient combination, including
-  // whole-gram short strings, the 7/8 packing boundary, sentinel bytes
-  // inside the input, and non-ASCII / high-bit bytes.
+TEST(QGramTest, SentinelBytesInInputDoNotCollideWithPadding) {
+  // A literal '#' or '$' in the value is compared like any other byte.
+  // padded("a#") = {"#a","a#","#$"}, padded("a") = {"#a","a$"}: one shared
+  // gram -> dice = 2*1/(3+2).
+  EXPECT_DOUBLE_EQ(Bigram("a#", "a"), 2.0 * 1 / (3 + 2));
+  // padded("$a") = {"#$","$a","a$"}, padded("a") = {"#a","a$"}.
+  EXPECT_DOUBLE_EQ(Bigram("$a", "a"), 2.0 * 1 / (3 + 2));
+}
+
+TEST(QGramTest, ArbitraryBytesMatchTheOracle) {
+  // Whole-byte range, embedded NULs, high-bit and multi-byte UTF-8 values:
+  // the packed uint32_t profiles must count exactly the string grams.
   const std::vector<std::string> corpus = {
       "",       "a",         "ab",          "abc",     "a#b$",
       "###",    "$$$",       "#$",          "aaaaaaa", "aaaaaaaa",
@@ -118,60 +89,8 @@ TEST(QGramTest, PackedFastPathMatchesStringDecompositionExactly) {
       "\x01\xff\x80", std::string("a\0b", 3), "\xc3\xa9\xc3\xa8"};
   for (const std::string& a : corpus) {
     for (const std::string& b : corpus) {
-      for (int q = 1; q <= 8; ++q) {
-        for (const bool padded : {false, true}) {
-          for (const QGramCoefficient coeff :
-               {QGramCoefficient::kDice, QGramCoefficient::kJaccard,
-                QGramCoefficient::kOverlap}) {
-            QGramOptions opts;
-            opts.q = q;
-            opts.padded = padded;
-            opts.coefficient = coeff;
-            EXPECT_EQ(QGramSimilarity(a, b, opts),
-                      ReferenceSimilarity(a, b, opts))
-                << "a=" << a << " b=" << b << " q=" << q
-                << " padded=" << padded << " coeff=" << static_cast<int>(coeff);
-          }
-        }
-      }
-    }
-  }
-}
-
-TEST(QGramTest, UnpaddedShortStringKeepsWholeGramSemantics) {
-  // |s| < q without padding yields one whole-string gram, so two different
-  // short strings share nothing and a short string matches a long one only
-  // if a full q-gram equals it — never, since lengths differ.
-  QGramOptions opts;
-  opts.q = 3;
-  opts.padded = false;
-  EXPECT_DOUBLE_EQ(QGramSimilarity("ab", "abc", opts), 0.0);
-  EXPECT_DOUBLE_EQ(QGramSimilarity("ab", "ax", opts), 0.0);
-  // Identical short strings hit the equality shortcut.
-  EXPECT_DOUBLE_EQ(QGramSimilarity("ab", "ab", opts), 1.0);
-}
-
-TEST(QGramTest, SentinelBytesInInputDoNotCollideWithPadding) {
-  // A literal '#' or '$' in the value must stay distinct from the virtual
-  // padding sentinels. padded("a#") = {"#a","a#","#$"}, padded("a") =
-  // {"#a","a$"}: one shared gram -> dice = 2*1/(3+2).
-  EXPECT_DOUBLE_EQ(BigramDice("a#", "a"), 2.0 * 1 / (3 + 2));
-  // padded("$a") = {"#$","$a","a$"}, padded("a") = {"#a","a$"}.
-  EXPECT_DOUBLE_EQ(BigramDice("$a", "a"), 2.0 * 1 / (3 + 2));
-}
-
-TEST(QGramTest, BigramDiceMatchesDefaultQGramSimilarity) {
-  // The memoized wrapper must agree with the uncached path bit for bit,
-  // on first computation and on cache replay.
-  const std::vector<std::string> corpus = {"",     "a",        "ab",
-                                           "john", "jon",      "ashworth",
-                                           "a#b",  "elizabeth"};
-  for (int round = 0; round < 2; ++round) {
-    for (const std::string& a : corpus) {
-      for (const std::string& b : corpus) {
-        EXPECT_EQ(BigramDice(a, b), QGramSimilarity(a, b, QGramOptions{}))
-            << "a=" << a << " b=" << b << " round " << round;
-      }
+      (void)Bigram(a, b);
+      (void)Trigram(a, b);
     }
   }
 }
@@ -182,18 +101,14 @@ class QGramPropertyTest
 
 TEST_P(QGramPropertyTest, SymmetricAndBounded) {
   const auto& [a, b] = GetParam();
-  for (int q : {1, 2, 3}) {
-    for (bool padded : {false, true}) {
-      QGramOptions opts;
-      opts.q = q;
-      opts.padded = padded;
-      const double ab = QGramSimilarity(a, b, opts);
-      const double ba = QGramSimilarity(b, a, opts);
-      EXPECT_DOUBLE_EQ(ab, ba);
-      EXPECT_GE(ab, 0.0);
-      EXPECT_LE(ab, 1.0);
-      EXPECT_DOUBLE_EQ(QGramSimilarity(a, a, opts), 1.0);
-    }
+  for (const Measure measure : {Measure::kQGramDice, Measure::kTrigramDice}) {
+    const double ab = ComputeMeasure(measure, a, b);
+    const double ba = ComputeMeasure(measure, b, a);
+    EXPECT_EQ(ab, ba);
+    EXPECT_GE(ab, 0.0);
+    EXPECT_LE(ab, 1.0);
+    EXPECT_EQ(ab, reference::MeasureValue(measure, a, b));
+    EXPECT_DOUBLE_EQ(ComputeMeasure(measure, a, a), 1.0);
   }
 }
 

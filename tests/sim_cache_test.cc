@@ -1,16 +1,15 @@
-// SimCache correctness: both kernel modes (batched default, scalar
-// reference) must be bit-identical to the direct SimilarityFunction path
-// (they share the AggregateWith arithmetic), hits/misses must reflect the
-// skew of the value pools in scalar mode, missing-value handling must
-// mirror ComponentSimilarity exactly, and threshold-aware scoring must
-// never prune a pair at or above the cutoff.
+// SimCache correctness: the arena path must be bit-identical to the direct
+// SimilarityFunction path (they share the kernels and the AggregateWith
+// arithmetic), hits/misses of the memoized measures must reflect the skew
+// of the value pools, missing-value handling must mirror
+// ComponentSimilarity exactly, and threshold-aware scoring must never prune
+// a pair at or above the cutoff.
 
 #include "tglink/similarity/sim_cache.h"
 
 #include <gtest/gtest.h>
 
 #include "tglink/linkage/config.h"
-#include "tglink/similarity/sim_batch.h"
 #include "tests/paper_example.h"
 
 namespace tglink {
@@ -24,25 +23,33 @@ SimilarityFunction PaperSimFunc() {
   return fn;
 }
 
+/// Components without a kernel, which SimCache memoizes, next to
+/// kernel-backed ones, which it does not.
+SimilarityFunction MemoizedSimFunc() {
+  SimilarityFunction fn({{Field::kFirstName, Measure::kMongeElkan, 2.0},
+                         {Field::kSurname, Measure::kDoubleMetaphone, 2.0},
+                         {Field::kSurname, Measure::kQGramDice, 1.0},
+                         {Field::kAge, Measure::kExact, 1.0}},
+                        /*threshold=*/0.7);
+  fn.set_year_gap(10);
+  return fn;
+}
+
 TEST(SimCacheTest, BitIdenticalToDirectAggregationOverFullCrossProduct) {
   const CensusDataset old_d = MakeCensus1871();
   const CensusDataset new_d = MakeCensus1881();
-  const SimilarityFunction fn = PaperSimFunc();
-  for (const bool batched : {true, false}) {
-    ScopedBatchKernels mode(batched);
+  for (const SimilarityFunction& fn : {PaperSimFunc(), MemoizedSimFunc()}) {
     const SimCache cache(fn, old_d, new_d);
-    ASSERT_EQ(cache.batched(), batched);
     for (RecordId o = 0; o < old_d.num_records(); ++o) {
       for (RecordId n = 0; n < new_d.num_records(); ++n) {
         const double direct =
             fn.AggregateSimilarity(old_d.record(o), new_d.record(n));
-        // EXPECT_EQ, not NEAR: both modes must reproduce the exact bits,
-        // both on first computation and on replay.
+        // EXPECT_EQ, not NEAR: the cache must reproduce the exact bits,
+        // both on first computation and on memo replay.
         EXPECT_EQ(cache.Aggregate(o, n), direct)
-            << "batched=" << batched << " pair (" << o << "," << n
-            << ") first pass";
+            << fn.ToString() << " pair (" << o << "," << n << ") first pass";
         EXPECT_EQ(cache.Aggregate(o, n), direct)
-            << "batched=" << batched << " pair (" << o << "," << n
+            << fn.ToString() << " pair (" << o << "," << n
             << ") cached pass";
       }
     }
@@ -50,13 +57,11 @@ TEST(SimCacheTest, BitIdenticalToDirectAggregationOverFullCrossProduct) {
 }
 
 TEST(SimCacheTest, RepeatedValuePairsHitTheMemo) {
-  // Memo traffic is a scalar-mode property: the batched kernels evaluate
-  // q-gram/Jaro components directly from precomputed profiles and only
-  // memoize the heavyweight fallback measures (none in the default config).
-  ScopedBatchKernels scalar_mode(false);
+  // Only the measures without a kernel (here Monge-Elkan and
+  // double-metaphone) go through the memo.
   const CensusDataset old_d = MakeCensus1871();
   const CensusDataset new_d = MakeCensus1881();
-  const SimilarityFunction fn = PaperSimFunc();
+  const SimilarityFunction fn = MemoizedSimFunc();
   const SimCache cache(fn, old_d, new_d);
 
   EXPECT_EQ(cache.hits(), 0u);
@@ -82,19 +87,18 @@ TEST(SimCacheTest, RepeatedValuePairsHitTheMemo) {
   EXPECT_EQ(cache.misses(), first_pass_misses);
 }
 
-TEST(SimCacheTest, BatchedModeGeneratesNoMemoTrafficForOwnedMeasures) {
+TEST(SimCacheTest, KernelMeasuresGenerateNoMemoTraffic) {
   const CensusDataset old_d = MakeCensus1871();
   const CensusDataset new_d = MakeCensus1881();
   const SimilarityFunction fn = PaperSimFunc();
-  ScopedBatchKernels batched_mode(true);
   const SimCache cache(fn, old_d, new_d);
   for (RecordId o = 0; o < old_d.num_records(); ++o) {
     for (RecordId n = 0; n < new_d.num_records(); ++n) {
       (void)cache.Aggregate(o, n);
     }
   }
-  // Every default-config measure has a batched kernel, so the memo (and
-  // its locks) must stay completely cold.
+  // Every default-config measure has a kernel, so the memo (and its locks)
+  // must stay completely cold.
   EXPECT_EQ(cache.hits(), 0u);
   EXPECT_EQ(cache.misses(), 0u);
 }
@@ -102,23 +106,22 @@ TEST(SimCacheTest, BatchedModeGeneratesNoMemoTrafficForOwnedMeasures) {
 TEST(SimCacheTest, MissingValuesFollowTheDirectPath) {
   // Records with empty occupation / age exercise every missing-value branch;
   // the cache must agree with the direct path on all of them, under every
-  // missing policy, in both kernel modes.
+  // missing policy, for kernel-backed and memoized components alike.
   const CensusDataset old_d = MakeCensus1871();
   const CensusDataset new_d = MakeCensus1881();
-  for (const bool batched : {true, false}) {
-    ScopedBatchKernels mode(batched);
+  for (const SimilarityFunction& base : {PaperSimFunc(), MemoizedSimFunc()}) {
     for (MissingPolicy policy :
          {MissingPolicy::kRedistribute, MissingPolicy::kZero,
           MissingPolicy::kNeutral}) {
-      SimilarityFunction fn = PaperSimFunc();
+      SimilarityFunction fn = base;
       fn.set_missing_policy(policy);
       const SimCache cache(fn, old_d, new_d);
       for (RecordId o = 0; o < old_d.num_records(); ++o) {
         for (RecordId n = 0; n < new_d.num_records(); ++n) {
           EXPECT_EQ(cache.Aggregate(o, n),
                     fn.AggregateSimilarity(old_d.record(o), new_d.record(n)))
-              << "batched=" << batched << " policy "
-              << static_cast<int>(policy) << " pair (" << o << "," << n << ")";
+              << fn.ToString() << " policy " << static_cast<int>(policy)
+              << " pair (" << o << "," << n << ")";
         }
       }
     }
@@ -127,20 +130,17 @@ TEST(SimCacheTest, MissingValuesFollowTheDirectPath) {
 
 TEST(SimCacheTest, WorksForOmega1Too) {
   // The ablation similarity function (different specs/weights) must be
-  // cacheable through the same layer, in both modes.
+  // cacheable through the same layer.
   const CensusDataset old_d = MakeCensus1871();
   const CensusDataset new_d = MakeCensus1881();
   SimilarityFunction fn = configs::Omega1();
   fn.set_year_gap(10);
-  for (const bool batched : {true, false}) {
-    ScopedBatchKernels mode(batched);
-    const SimCache cache(fn, old_d, new_d);
-    for (RecordId o = 0; o < old_d.num_records(); ++o) {
-      for (RecordId n = 0; n < new_d.num_records(); ++n) {
-        EXPECT_EQ(cache.Aggregate(o, n),
-                  fn.AggregateSimilarity(old_d.record(o), new_d.record(n)))
-            << "batched=" << batched;
-      }
+  const SimCache cache(fn, old_d, new_d);
+  for (RecordId o = 0; o < old_d.num_records(); ++o) {
+    for (RecordId n = 0; n < new_d.num_records(); ++n) {
+      EXPECT_EQ(cache.Aggregate(o, n),
+                fn.AggregateSimilarity(old_d.record(o), new_d.record(n)))
+          << "pair (" << o << "," << n << ")";
     }
   }
 }
@@ -149,12 +149,11 @@ TEST(SimCacheTest, ThresholdScoringNeverPrunesAKeptPair) {
   // The pruning contract over the full fixture cross-product, at every
   // plausible cutoff: a pruned pair's exact aggregate is strictly below
   // min_sim, and a non-pruned pair's value is bit-identical to the exact
-  // one — so keep-sets are identical to the scalar path at every
+  // one — so keep-sets are identical to the unpruned path at every
   // threshold.
   const CensusDataset old_d = MakeCensus1871();
   const CensusDataset new_d = MakeCensus1881();
   const SimilarityFunction fn = PaperSimFunc();
-  ScopedBatchKernels batched_mode(true);
   const SimCache cache(fn, old_d, new_d);
   for (const double min_sim : {0.1, 0.5, 0.7, 0.85, 0.95, 1.0}) {
     for (RecordId o = 0; o < old_d.num_records(); ++o) {
@@ -176,24 +175,16 @@ TEST(SimCacheTest, ThresholdScoringNeverPrunesAKeptPair) {
   }
 }
 
-TEST(SimCacheTest, ThresholdScoringIsExactInScalarModeAndAtZero) {
+TEST(SimCacheTest, ThresholdScoringIsExactAtZero) {
   const CensusDataset old_d = MakeCensus1871();
   const CensusDataset new_d = MakeCensus1881();
   const SimilarityFunction fn = PaperSimFunc();
-  for (const bool batched : {true, false}) {
-    ScopedBatchKernels mode(batched);
-    const SimCache cache(fn, old_d, new_d);
-    for (RecordId o = 0; o < old_d.num_records(); ++o) {
-      for (RecordId n = 0; n < new_d.num_records(); ++n) {
-        const double exact =
-            fn.AggregateSimilarity(old_d.record(o), new_d.record(n));
-        // min_sim <= 0 disables pruning in batched mode; scalar mode never
-        // prunes at any threshold.
-        EXPECT_EQ(cache.AggregateWithThreshold(o, n, 0.0), exact);
-        if (!batched) {
-          EXPECT_EQ(cache.AggregateWithThreshold(o, n, 0.9), exact);
-        }
-      }
+  const SimCache cache(fn, old_d, new_d);
+  for (RecordId o = 0; o < old_d.num_records(); ++o) {
+    for (RecordId n = 0; n < new_d.num_records(); ++n) {
+      // min_sim <= 0 disables pruning.
+      EXPECT_EQ(cache.AggregateWithThreshold(o, n, 0.0),
+                fn.AggregateSimilarity(old_d.record(o), new_d.record(n)));
     }
   }
 }

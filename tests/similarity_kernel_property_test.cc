@@ -1,18 +1,19 @@
-// Differential verification of the batched similarity kernels against the
-// scalar reference measures (satellite of the batched-kernel tentpole; see
+// Differential verification of the library's similarity kernels against
+// the textbook reference oracle in tests/reference_measures.h (see
 // DESIGN.md §10):
 //
-//   * bit-identity: with pruning disabled, BatchMeasure(m, a, b, 0) returns
-//     EXACTLY ComputeMeasure(m, a, b) — same bits, not approximately — over
-//     50 seeded random-byte corpora (non-ASCII bytes, embedded NULs,
+//   * bit-identity: ComputeMeasure(m, a, b) returns EXACTLY
+//     reference::MeasureValue(m, a, b) — same bits, not approximately —
+//     over 50 seeded random-byte corpora (non-ASCII bytes, embedded NULs,
 //     sentinel '#'/'$' characters, empties, and the 63/64/65-char Myers
 //     word-size boundary);
-//   * pruning soundness: with any min_sim, a kernel either returns the
-//     exact scalar value or the kBelowMinSim sentinel, and the sentinel is
-//     only ever returned when the true similarity is < min_sim;
-//   * aggregate identity: SimCache in batched mode reproduces the scalar
-//     mode bit-for-bit on full synthetic census pairs from every corruption
-//     preset, and AggregateWithThreshold keeps exactly the scalar keep-set.
+//   * pruning soundness: with any min_sim, ComputeMeasure either returns
+//     the exact reference value or the kBelowMinSim sentinel, and the
+//     sentinel is only ever returned when the true similarity is < min_sim;
+//   * aggregate identity: SimCache reproduces the reference aggregate
+//     (SimilarityFunction::AggregateWith over the oracle measures)
+//     bit-for-bit on full synthetic census pairs from every corruption
+//     preset, and AggregateWithThreshold keeps exactly the exact keep-set.
 //
 // Runs serially by default; TGLINK_TEST_THREADS=0 (a second ctest entry)
 // reruns everything on one worker per hardware thread — outputs must be
@@ -32,6 +33,7 @@
 #include "tglink/similarity/sim_cache.h"
 #include "tglink/util/parallel.h"
 #include "tests/proptest.h"
+#include "tests/reference_measures.h"
 
 namespace tglink {
 namespace {
@@ -45,7 +47,7 @@ class SimilarityKernelPropertyTest : public ::testing::Test {
   void TearDown() override { SetParallelThreadCount(1); }
 };
 
-const std::vector<Measure>& BatchedMeasures() {
+const std::vector<Measure>& KernelMeasures() {
   static const std::vector<Measure> measures = {
       Measure::kExact,       Measure::kQGramDice,  Measure::kTrigramDice,
       Measure::kLevenshtein, Measure::kDamerau,    Measure::kJaro,
@@ -86,23 +88,22 @@ std::vector<std::string> RandomCorpus(proptest::Case& c) {
   return corpus;
 }
 
-// 50 corpora x all batched measures x all pairs: exact equality with the
-// scalar oracle when pruning is off.
-TEST_F(SimilarityKernelPropertyTest, BitIdenticalToScalarWithoutPruning) {
+// 50 corpora x all kernel-backed measures x all pairs: exact equality with
+// the reference oracle when pruning is off.
+TEST_F(SimilarityKernelPropertyTest, BitIdenticalToReferenceWithoutPruning) {
   proptest::Runner runner("simkernel.bit_identity", /*iterations=*/50);
   runner.Run([](proptest::Case& c) {
     const std::vector<std::string> corpus = RandomCorpus(c);
-    for (const Measure measure : BatchedMeasures()) {
-      ASSERT_TRUE(simkernel::HasBatchKernel(measure));
+    for (const Measure measure : KernelMeasures()) {
       for (const std::string& a : corpus) {
         for (const std::string& b : corpus) {
-          const double expected = ComputeMeasure(measure, a, b);
-          const double got = simkernel::BatchMeasure(measure, a, b, 0.0);
+          const double expected = reference::MeasureValue(measure, a, b);
+          const double got = ComputeMeasure(measure, a, b);
           c.ExpectTrue(got == expected,
                        std::string(MeasureName(measure)) + "(" +
                            std::to_string(a.size()) + "B, " +
-                           std::to_string(b.size()) + "B) batched " +
-                           std::to_string(got) + " != scalar " +
+                           std::to_string(b.size()) + "B) kernel " +
+                           std::to_string(got) + " != reference " +
                            std::to_string(expected));
         }
       }
@@ -121,13 +122,13 @@ TEST_F(SimilarityKernelPropertyTest, PruningIsSoundAtEveryCutoff) {
   runner.Run([](proptest::Case& c) {
     const std::vector<std::string> corpus = RandomCorpus(c);
     const double cutoffs[] = {0.3, 0.5, 0.7, 0.9, 0.99, 1.0};
-    for (const Measure measure : BatchedMeasures()) {
+    for (const Measure measure : KernelMeasures()) {
       for (const std::string& a : corpus) {
         for (const std::string& b : corpus) {
           const double min_sim =
               cutoffs[c.rng().NextBounded(std::size(cutoffs))];
-          const double expected = ComputeMeasure(measure, a, b);
-          const double got = simkernel::BatchMeasure(measure, a, b, min_sim);
+          const double expected = reference::MeasureValue(measure, a, b);
+          const double got = ComputeMeasure(measure, a, b, min_sim);
           if (got == simkernel::kBelowMinSim) {
             c.ExpectTrue(expected < min_sim,
                          std::string(MeasureName(measure)) +
@@ -149,9 +150,9 @@ TEST_F(SimilarityKernelPropertyTest, PruningIsSoundAtEveryCutoff) {
 }
 
 // Full-pipeline identity on synthetic censuses: every corruption preset x
-// 10 seeds (preset coverage is deterministic, not sampled). The batched
-// SimCache must reproduce the scalar one bit-for-bit, and the threshold
-// path must keep exactly the scalar keep-set.
+// 10 seeds (preset coverage is deterministic, not sampled). SimCache must
+// reproduce the reference aggregate bit-for-bit, and the threshold path
+// must keep exactly the exact keep-set.
 TEST_F(SimilarityKernelPropertyTest, AggregateIdentityAcrossPresets) {
   for (const GeneratorConfig& preset : proptest::AllPresets()) {
     proptest::Runner runner("simkernel.aggregate_identity",
@@ -168,45 +169,44 @@ TEST_F(SimilarityKernelPropertyTest, AggregateIdentityAcrossPresets) {
       const std::vector<CandidatePair> candidates = GenerateCandidatePairs(
           pair.old_dataset, pair.new_dataset, BlockingConfig::MakeDefault());
 
-      ScopedBatchKernels scalar_mode(false);
-      const SimCache scalar(fn, pair.old_dataset, pair.new_dataset);
-      SetBatchKernelsEnabled(true);
-      const SimCache batched(fn, pair.old_dataset, pair.new_dataset);
+      const SimCache cache(fn, pair.old_dataset, pair.new_dataset);
       const double min_sim = 0.5 + 0.4 * (c.rng().NextBounded(5) / 5.0);
 
-      const std::vector<double> scalar_sims = ParallelMap<double>(
-          candidates.size(), "proptest.scalar_chunk", [&](size_t i) {
-            return scalar.Aggregate(candidates[i].old_id,
-                                    candidates[i].new_id);
+      const std::vector<double> reference_sims = ParallelMap<double>(
+          candidates.size(), "proptest.reference_chunk", [&](size_t i) {
+            return reference::Aggregate(
+                fn, pair.old_dataset.record(candidates[i].old_id),
+                pair.new_dataset.record(candidates[i].new_id));
           });
-      const std::vector<double> batched_sims = ParallelMap<double>(
-          candidates.size(), "proptest.batched_chunk", [&](size_t i) {
-            return batched.Aggregate(candidates[i].old_id,
-                                     candidates[i].new_id);
+      const std::vector<double> cache_sims = ParallelMap<double>(
+          candidates.size(), "proptest.cache_chunk", [&](size_t i) {
+            return cache.Aggregate(candidates[i].old_id,
+                                   candidates[i].new_id);
           });
       const std::vector<double> pruned_sims = ParallelMap<double>(
           candidates.size(), "proptest.pruned_chunk", [&](size_t i) {
-            return batched.AggregateWithThreshold(candidates[i].old_id,
-                                                  candidates[i].new_id,
-                                                  min_sim);
+            return cache.AggregateWithThreshold(candidates[i].old_id,
+                                                candidates[i].new_id,
+                                                min_sim);
           });
       for (size_t i = 0; i < candidates.size(); ++i) {
-        c.ExpectTrue(batched_sims[i] == scalar_sims[i],
-                     "pair " + std::to_string(i) + ": batched " +
-                         std::to_string(batched_sims[i]) + " != scalar " +
-                         std::to_string(scalar_sims[i]));
+        c.ExpectTrue(cache_sims[i] == reference_sims[i],
+                     "pair " + std::to_string(i) + ": cache " +
+                         std::to_string(cache_sims[i]) + " != reference " +
+                         std::to_string(reference_sims[i]));
         if (pruned_sims[i] == SimCache::kPruned) {
-          c.ExpectTrue(scalar_sims[i] < min_sim,
+          c.ExpectTrue(reference_sims[i] < min_sim,
                        "pair " + std::to_string(i) +
                            " pruned at min_sim " + std::to_string(min_sim) +
-                           " but scalar sim is " +
-                           std::to_string(scalar_sims[i]));
+                           " but reference sim is " +
+                           std::to_string(reference_sims[i]));
         } else {
-          c.ExpectTrue(pruned_sims[i] == scalar_sims[i],
+          c.ExpectTrue(pruned_sims[i] == reference_sims[i],
                        "pair " + std::to_string(i) +
                            ": threshold path " +
-                           std::to_string(pruned_sims[i]) + " != scalar " +
-                           std::to_string(scalar_sims[i]));
+                           std::to_string(pruned_sims[i]) +
+                           " != reference " +
+                           std::to_string(reference_sims[i]));
         }
       }
     });
@@ -217,8 +217,8 @@ TEST_F(SimilarityKernelPropertyTest, AggregateIdentityAcrossPresets) {
 
 /// A composite function touching every SimBatch plan: both Dice gram sizes,
 /// the full edit/Jaro family, Soundex, exact sex, the temporal age
-/// component, and a fallback measure (Monge-Elkan) that batched mode must
-/// route through the memoized scalar path. Several specs share a field so
+/// component, and a fallback measure (Monge-Elkan) that SimCache must route
+/// through its memo. Several specs share a field so
 /// the per-field table reuse is exercised too.
 SimilarityFunction AllPlanFunction() {
   return SimilarityFunction(
@@ -238,8 +238,8 @@ SimilarityFunction AllPlanFunction() {
 }
 
 // The Omega2 pipeline only exercises the Dice/exact plans; this property
-// pins batched-vs-scalar bit-identity and threshold soundness for EVERY
-// plan the batch layer implements, under all three missing policies (the
+// pins reference bit-identity and threshold soundness for EVERY plan the
+// batch layer implements, under all three missing policies (the
 // policy changes the Eq. 3 denominator and the pruning bound arithmetic).
 TEST_F(SimilarityKernelPropertyTest, AllPlansAllPoliciesAggregateIdentity) {
   proptest::Runner runner("simkernel.all_plans_identity", /*iterations=*/10);
@@ -255,22 +255,21 @@ TEST_F(SimilarityKernelPropertyTest, AllPlansAllPoliciesAggregateIdentity) {
       fn.set_missing_policy(policy);
       fn.set_year_gap(pair.new_dataset.year() - pair.old_dataset.year());
 
-      ScopedBatchKernels scalar_mode(false);
-      const SimCache scalar(fn, pair.old_dataset, pair.new_dataset);
-      SetBatchKernelsEnabled(true);
-      const SimCache batched(fn, pair.old_dataset, pair.new_dataset);
+      const SimCache cache(fn, pair.old_dataset, pair.new_dataset);
       // High cutoffs force the running-cutoff path to hand every kernel a
       // nonzero kernel_min, so the in-kernel bound rejects fire too.
       const double min_sim = 0.5 + 0.1 * c.rng().NextBounded(5);
       for (const CandidatePair& cand : candidates) {
-        const double expected = scalar.Aggregate(cand.old_id, cand.new_id);
-        const double got = batched.Aggregate(cand.old_id, cand.new_id);
+        const double expected =
+            reference::Aggregate(fn, pair.old_dataset.record(cand.old_id),
+                                 pair.new_dataset.record(cand.new_id));
+        const double got = cache.Aggregate(cand.old_id, cand.new_id);
         c.ExpectTrue(got == expected,
                      "policy " + std::to_string(static_cast<int>(policy)) +
-                         ": batched " + std::to_string(got) + " != scalar " +
+                         ": cache " + std::to_string(got) + " != reference " +
                          std::to_string(expected));
         const double pruned =
-            batched.AggregateWithThreshold(cand.old_id, cand.new_id, min_sim);
+            cache.AggregateWithThreshold(cand.old_id, cand.new_id, min_sim);
         if (pruned == SimCache::kPruned) {
           c.ExpectTrue(expected < min_sim,
                        "pruned at min_sim " + std::to_string(min_sim) +
@@ -299,8 +298,9 @@ TEST_F(SimilarityKernelPropertyTest, AllPlansAllPoliciesAggregateIdentity) {
 
 // Deterministic Myers word-size boundary pins: 64-char patterns take the
 // bit-parallel path, 65-char pairs the banded fallback; both must agree
-// with the scalar DP exactly, including at distance-0 and heavy-edit ends.
-TEST_F(SimilarityKernelPropertyTest, MyersBoundaryMatchesScalar) {
+// with the reference DP exactly, including at distance-0 and heavy-edit
+// ends.
+TEST_F(SimilarityKernelPropertyTest, MyersBoundaryMatchesReference) {
   const std::string a63(63, 'a');
   const std::string a64(64, 'a');
   const std::string a65(65, 'a');
@@ -316,13 +316,12 @@ TEST_F(SimilarityKernelPropertyTest, MyersBoundaryMatchesScalar) {
   for (const Measure measure : {Measure::kLevenshtein, Measure::kDamerau}) {
     for (const std::string& x : corpus) {
       for (const std::string& y : corpus) {
-        EXPECT_EQ(simkernel::BatchMeasure(measure, x, y, 0.0),
-                  ComputeMeasure(measure, x, y))
+        const double expected = reference::MeasureValue(measure, x, y);
+        EXPECT_EQ(ComputeMeasure(measure, x, y), expected)
             << MeasureName(measure) << " lengths " << x.size() << "/"
             << y.size();
         // And under a cutoff: exact or provably below.
-        const double got = simkernel::BatchMeasure(measure, x, y, 0.9);
-        const double expected = ComputeMeasure(measure, x, y);
+        const double got = ComputeMeasure(measure, x, y, 0.9);
         if (got == simkernel::kBelowMinSim) {
           EXPECT_LT(expected, 0.9);
         } else {

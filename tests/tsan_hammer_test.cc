@@ -21,7 +21,6 @@
 #include "tglink/linkage/prematching.h"
 #include "tglink/obs/memprof.h"
 #include "tglink/obs/metrics.h"
-#include "tglink/similarity/sim_batch.h"
 #include "tglink/similarity/sim_cache.h"
 #include "tests/paper_example.h"
 
@@ -30,10 +29,10 @@ namespace {
 
 using namespace testing_example;
 
-// A similarity function built entirely from fallback measures — the ones
-// without batch kernels (Monge-Elkan, Smith-Waterman, double-metaphone,
-// LCS) — so that even in batched mode every component comparison goes
-// through the sharded memo and its SharedMutex discipline. The split-mix
+// A similarity function built entirely from the measures without kernels
+// (Monge-Elkan, Smith-Waterman, double-metaphone, LCS) — the ones SimCache
+// memoizes — so every component comparison goes through the sharded memo
+// and its SharedMutex discipline. The split-mix
 // shard hash spreads the (old value, new value) id pairs of the census
 // fixtures across shards, so concurrent threads constantly interleave an
 // exclusive insert on one shard with shared reads on others.
@@ -51,47 +50,43 @@ TEST(TsanHammerTest, SimCacheCrossShardInsertReadInterleaving) {
   const CensusDataset old_d = MakeCensus1871();
   const CensusDataset new_d = MakeCensus1881();
   const SimilarityFunction fn = FallbackHeavySimFunc();
-  for (const bool batched : {true, false}) {
-    ScopedBatchKernels mode(batched);
-    const SimCache cache(fn, old_d, new_d);
-    ASSERT_EQ(cache.batched(), batched);
+  const SimCache cache(fn, old_d, new_d);
 
-    const size_t num_old = old_d.num_records();
-    const size_t num_new = new_d.num_records();
-    constexpr int kThreads = 4;
-    constexpr int kRounds = 30;
-    std::atomic<bool> mismatch{false};
+  const size_t num_old = old_d.num_records();
+  const size_t num_new = new_d.num_records();
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 30;
+  std::atomic<bool> mismatch{false};
 
-    // Every thread walks the full cross product, each starting at a
-    // different offset so early iterations mix first-touch inserts from one
-    // thread with memo reads of the same pair from another. Values must be
-    // bit-identical to the direct path no matter which thread populated the
-    // memo entry.
-    std::vector<std::thread> threads;
-    threads.reserve(kThreads);
-    for (int t = 0; t < kThreads; ++t) {
-      threads.emplace_back([&, t] {
-        const size_t total = num_old * num_new;
-        for (int round = 0; round < kRounds; ++round) {
-          for (size_t k = 0; k < total; ++k) {
-            const size_t flat = (k + static_cast<size_t>(t) * 7) % total;
-            const RecordId o = static_cast<RecordId>(flat / num_new);
-            const RecordId n = static_cast<RecordId>(flat % num_new);
-            const double got = cache.Aggregate(o, n);
-            const double want =
-                fn.AggregateSimilarity(old_d.record(o), new_d.record(n));
-            if (got != want) mismatch.store(true);
-          }
+  // Every thread walks the full cross product, each starting at a
+  // different offset so early iterations mix first-touch inserts from one
+  // thread with memo reads of the same pair from another. Values must be
+  // bit-identical to the direct path no matter which thread populated the
+  // memo entry.
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      const size_t total = num_old * num_new;
+      for (int round = 0; round < kRounds; ++round) {
+        for (size_t k = 0; k < total; ++k) {
+          const size_t flat = (k + static_cast<size_t>(t) * 7) % total;
+          const RecordId o = static_cast<RecordId>(flat / num_new);
+          const RecordId n = static_cast<RecordId>(flat % num_new);
+          const double got = cache.Aggregate(o, n);
+          const double want =
+              fn.AggregateSimilarity(old_d.record(o), new_d.record(n));
+          if (got != want) mismatch.store(true);
         }
-      });
-    }
-    for (std::thread& th : threads) th.join();
-    EXPECT_FALSE(mismatch.load()) << "batched=" << batched;
-    // The fallback measures generated real memo traffic (otherwise this
-    // test silently stopped exercising the shard locks).
-    EXPECT_GT(cache.misses(), 0u) << "batched=" << batched;
-    EXPECT_GT(cache.hits(), 0u) << "batched=" << batched;
+      }
+    });
   }
+  for (std::thread& th : threads) th.join();
+  EXPECT_FALSE(mismatch.load());
+  // The memoized measures generated real memo traffic (otherwise this test
+  // silently stopped exercising the shard locks).
+  EXPECT_GT(cache.misses(), 0u);
+  EXPECT_GT(cache.hits(), 0u);
 }
 
 // PreMatcher's CSR kept-pair store is read by every pool worker during
