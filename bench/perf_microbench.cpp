@@ -147,7 +147,7 @@ void BM_PreMatcherBuild(benchmark::State& state) {
   for (auto _ : state) {
     PreMatcher pm(pair.old_dataset, pair.new_dataset, sim_func,
                   BlockingConfig::MakeDefault(), 0.5);
-    benchmark::DoNotOptimize(pm.scored_pairs().size());
+    benchmark::DoNotOptimize(pm.num_kept_pairs());
   }
 }
 BENCHMARK(BM_PreMatcherBuild)->Arg(5)->Arg(10)->Arg(20);

@@ -38,10 +38,14 @@ PreMatcher::PreMatcher(const CensusDataset& old_dataset,
                                                  min_threshold);
       });
   // Candidates arrive sorted by (old, new), so the kept pairs fill the CSR
-  // rows in order: count each row's pairs, then prefix-sum the counts into
-  // row offsets.
-  scored_pairs_.reserve(candidates.size() / 8);
+  // rows in order: count the kept pairs to size the store exactly, then
+  // count each row's pairs and prefix-sum the counts into row offsets.
+  const size_t num_kept = static_cast<size_t>(std::count_if(
+      sims.begin(), sims.end(),
+      [min_threshold](double sim) { return sim >= min_threshold; }));
   row_begin_.assign(old_dataset.num_records() + 1, 0);
+  row_new_.reserve(num_kept);
+  row_sim_.reserve(num_kept);
   for (size_t i = 0; i < candidates.size(); ++i) {
     const double sim = sims[i];
     if (sim >= min_threshold) {
@@ -51,44 +55,38 @@ PreMatcher::PreMatcher(const CensusDataset& old_dataset,
                      candidates[i - 1].new_id < cand.new_id))
           << "candidates not sorted by (old, new) at index " << i;
       TGLINK_HISTOGRAM_SCORE("prematch.kept_pair_sim", sim);
-      scored_pairs_.push_back({cand.old_id, cand.new_id, sim});
       ++row_begin_[cand.old_id + 1];
       row_new_.push_back(cand.new_id);
       row_sim_.push_back(sim);
     }
   }
   std::partial_sum(row_begin_.begin(), row_begin_.end(), row_begin_.begin());
-  // Descending-sim order makes the pairs admissible at any δ a prefix, so
-  // the per-iteration Cluster/CountPairsAtDelta never rescan pairs the
-  // current threshold already excludes. Ties break on (old, new) for
-  // deterministic union-find label assignment.
-  std::sort(scored_pairs_.begin(), scored_pairs_.end(),
-            [](const ScoredPair& a, const ScoredPair& b) {
-              if (a.sim != b.sim) return a.sim > b.sim;
-              if (a.old_id != b.old_id) return a.old_id < b.old_id;
-              return a.new_id < b.new_id;
-            });
   TGLINK_COUNTER_ADD("prematch.pairs_scored", candidates.size());
-  TGLINK_COUNTER_ADD("prematch.pairs_kept", scored_pairs_.size());
+  TGLINK_COUNTER_ADD("prematch.pairs_kept", num_kept);
 }
 
-size_t PreMatcher::PrefixAtDelta(double delta) const {
-  const auto it = std::partition_point(
-      scored_pairs_.begin(), scored_pairs_.end(),
-      [delta](const ScoredPair& p) { return p.sim + 1e-12 >= delta; });
-  return static_cast<size_t>(it - scored_pairs_.begin());
+template <typename Fn>
+void PreMatcher::ForEachAdmissiblePair(double delta,
+                                       const std::vector<bool>& active_old,
+                                       const std::vector<bool>& active_new,
+                                       Fn&& fn) const {
+  for (RecordId o = 0; o + 1 < row_begin_.size(); ++o) {
+    if (!active_old[o]) continue;
+    for (size_t k = row_begin_[o]; k < row_begin_[o + 1]; ++k) {
+      if (row_sim_[k] + 1e-12 >= delta && active_new[row_new_[k]]) {
+        fn(o, row_new_[k]);
+      }
+    }
+  }
 }
 
 size_t PreMatcher::CountPairsAtDelta(double delta,
                                      const std::vector<bool>& active_old,
                                      const std::vector<bool>& active_new)
     const {
-  const size_t prefix = PrefixAtDelta(delta);
   size_t count = 0;
-  for (size_t i = 0; i < prefix; ++i) {
-    const ScoredPair& p = scored_pairs_[i];
-    if (active_old[p.old_id] && active_new[p.new_id]) ++count;
-  }
+  ForEachAdmissiblePair(delta, active_old, active_new,
+                        [&count](RecordId, RecordId) { ++count; });
   return count;
 }
 
@@ -114,15 +112,13 @@ Clustering PreMatcher::Cluster(double delta,
   assert(active_old.size() == n_old && active_new.size() == n_new);
 
   // Transitive closure over accepted pairs; node space is old records
-  // followed by new records. Only the δ prefix of the descending-sim
-  // order can contribute unions.
-  const size_t prefix = PrefixAtDelta(delta);
+  // followed by new records. ComponentLabels numbers components by their
+  // lowest node, so the labels do not depend on the order of the unions.
   UnionFind uf(n_old + n_new);
-  for (size_t i = 0; i < prefix; ++i) {
-    const ScoredPair& pair = scored_pairs_[i];
-    if (!active_old[pair.old_id] || !active_new[pair.new_id]) continue;
-    uf.Union(pair.old_id, n_old + pair.new_id);
-  }
+  ForEachAdmissiblePair(delta, active_old, active_new,
+                        [&uf, n_old](RecordId o, RecordId n) {
+                          uf.Union(o, n_old + n);
+                        });
   std::vector<uint32_t> labels = uf.ComponentLabels();
 
   Clustering clustering;

@@ -12,15 +12,15 @@
 // results are memoized in a SimCache, so the output is bit-identical to a
 // serial, uncached run.
 //
-// The kept pairs are held twice, for two access patterns:
-//   * sorted by descending similarity, so each δ round touches only the
-//     prefix of pairs at or above its threshold (Cluster, PrefixAtDelta);
-//   * in a CSR layout over old records, for PairSimilarity point lookups:
-//     row o lists the new ids of o's kept pairs in ascending order, with a
-//     parallel similarity array. Blocking emits candidates sorted by
-//     (old, new), so the rows fill in candidate order with no extra sort,
-//     and a lookup is a binary search within one short row. The store is
-//     immutable after construction, so concurrent lookups need no lock.
+// The kept pairs are held once, in a CSR layout over old records: row o
+// lists the new ids of o's kept pairs in ascending order, with a parallel
+// similarity array. Blocking emits candidates sorted by (old, new), so the
+// rows fill in candidate order with no sort. PairSimilarity is a binary
+// search within one short row; Cluster and CountPairsAtDelta scan the rows
+// of active old records. The union-find numbers components by their lowest
+// node index, so the clustering does not depend on the order in which
+// pairs are unioned, and no similarity order is kept. The store is
+// immutable after construction, so concurrent lookups need no lock.
 
 #ifndef TGLINK_LINKAGE_PREMATCHING_H_
 #define TGLINK_LINKAGE_PREMATCHING_H_
@@ -71,26 +71,32 @@ class PreMatcher {
              const SimilarityFunction& sim_func, const BlockingConfig& blocking,
              double min_threshold);
 
-  /// Cached pairs with sim >= min_threshold, sorted by descending sim
-  /// (ties by ascending (old, new)) so that the pairs admissible at any δ
-  /// form a prefix — see PrefixAtDelta.
-  const std::vector<ScoredPair>& scored_pairs() const { return scored_pairs_; }
+  /// Number of kept pairs: blocking candidates with sim >= min_threshold.
+  [[nodiscard]] size_t num_kept_pairs() const { return row_new_.size(); }
 
-  /// Number of leading scored_pairs() entries with sim >= delta (within
-  /// the usual 1e-12 tolerance). O(log n).
-  [[nodiscard]] size_t PrefixAtDelta(double delta) const;
+  /// Calls `fn(const ScoredPair&)` on every kept pair, in ascending
+  /// (old, new) order.
+  template <typename Fn>
+  void ForEachKeptPair(Fn&& fn) const {
+    for (RecordId o = 0; o + 1 < row_begin_.size(); ++o) {
+      for (size_t k = row_begin_[o]; k < row_begin_[o + 1]; ++k) {
+        fn(ScoredPair{o, row_new_[k], row_sim_[k]});
+      }
+    }
+  }
 
   /// Pairs admissible at `delta` between still-active records — the
-  /// per-iteration "scored pairs" diagnostic. Walks only the δ prefix.
+  /// per-iteration "scored pairs" diagnostic. Scans the rows of active old
+  /// records.
   [[nodiscard]] size_t CountPairsAtDelta(
       double delta, const std::vector<bool>& active_old,
       const std::vector<bool>& active_new) const;
 
   /// agg_sim for any record pair: looked up in the kept-pair store for a
   /// kept pair (a blocking candidate at or above min_threshold), computed
-  /// on demand otherwise (needed for transitively-clustered pairs). Misses route through the similarity
-  /// memo layer and are counted as "simcache.prematch_miss". Safe to call
-  /// concurrently.
+  /// on demand otherwise (needed for transitively-clustered pairs). Misses
+  /// route through the similarity memo layer and are counted as
+  /// "simcache.prematch_miss". Safe to call concurrently.
   double PairSimilarity(RecordId old_id, RecordId new_id) const;
 
   /// Clusters active records using pairs with sim >= delta (the
@@ -100,10 +106,16 @@ class PreMatcher {
                      const std::vector<bool>& active_new) const;
 
  private:
+  /// Calls `fn(old_id, new_id)` on every kept pair between active records
+  /// with sim + 1e-12 >= delta.
+  template <typename Fn>
+  void ForEachAdmissiblePair(double delta, const std::vector<bool>& active_old,
+                             const std::vector<bool>& active_new,
+                             Fn&& fn) const;
+
   const CensusDataset& old_dataset_;
   const CensusDataset& new_dataset_;
   SimCache sim_cache_;
-  std::vector<ScoredPair> scored_pairs_;  // descending sim
   // CSR kept-pair store: old record o's kept pairs are
   // (o, row_new_[k]) with similarity row_sim_[k], for k in
   // [row_begin_[o], row_begin_[o + 1]), new ids ascending.

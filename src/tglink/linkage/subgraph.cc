@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <tuple>
 
 #include "tglink/obs/memprof.h"
 #include "tglink/obs/metrics.h"
@@ -46,15 +45,6 @@ struct MemberPair {
   GroupId new_group;
   RecordId old_id;
   RecordId new_id;
-};
-
-/// One candidate group pair handed to the builder, with its label-shared
-/// member pairs at [begin, end) of the member-pair array.
-struct GroupPairRun {
-  GroupId old_group;
-  GroupId new_group;
-  size_t begin;
-  size_t end;
 };
 
 /// Builds and scores the common subgraph of (old_group, new_group) from its
@@ -215,86 +205,107 @@ std::vector<GroupPairSubgraph> BuildAllSubgraphs(
   TGLINK_TRACE_SPAN("subgraph.build_score", delta);
   TGLINK_MEM_STAGE("subgraph.build_score");
   // Candidate group pairs: every label-shared member pair (o, n) nominates
-  // (group(o), group(n)). Enumerating per old household and sorting its
-  // member pairs by new household gathers each key's member pairs into one
-  // run, with the keys ascending. A key can yield a non-empty subgraph only
-  // if its run holds two distinct old and two distinct new records: a
-  // matching edge joins two vertices, and the 1:1 vertex selection uses
-  // each record once. Every other key is dropped unbuilt.
-  std::vector<GroupPairRun> runs;
-  std::vector<MemberPair> members;
-  std::vector<MemberPair> scratch;
+  // (group(o), group(n)). Each old household enumerates its member pairs
+  // and groups them by new household with a counting pass, so each key's
+  // member pairs form one run and the keys come out ascending. A key can
+  // yield a non-empty subgraph only if its run holds two distinct old and
+  // two distinct new records: a matching edge joins two vertices, and the
+  // 1:1 vertex selection uses each record once. Every other key is dropped
+  // unbuilt. Blocks of old households enumerate and build on the pool,
+  // keep only their non-empty subgraphs and merge in (old group, new
+  // group) order, so the list is the same for any thread count.
+  struct Block {
+    std::vector<GroupPairSubgraph> kept;
+    uint64_t member_pairs = 0;
+    uint64_t filtered_keys = 0;
+    uint64_t candidate_group_pairs = 0;
+  };
+  const size_t num_blocks =
+      (old_graphs.size() + kSubgraphBlockHouseholds - 1) /
+      kSubgraphBlockHouseholds;
+  std::vector<Block> blocks(num_blocks);
+  ParallelFor(num_blocks, "subgraph.build_chunk", [&](size_t first,
+                                                      size_t last) {
+    // Per-task scratch, reused across the task's households: slot[gn]
+    // counts the member pairs of new household gn, then holds its run's
+    // write cursor; it is zero again after each household.
+    std::vector<uint32_t> slot(new_graphs.size(), 0);
+    std::vector<GroupId> new_groups;
+    std::vector<MemberPair> pairs;
+    std::vector<MemberPair> grouped;
+    for (size_t b = first; b < last; ++b) {
+      Block& block = blocks[b];
+      const size_t go_end =
+          std::min(old_graphs.size(), (b + 1) * kSubgraphBlockHouseholds);
+      for (GroupId go = static_cast<GroupId>(b * kSubgraphBlockHouseholds);
+           go < go_end; ++go) {
+        pairs.clear();
+        new_groups.clear();
+        for (RecordId o : old_graphs[go].members()) {
+          const uint32_t label = clustering.old_labels[o];
+          if (label == Clustering::kNoLabel) continue;
+          for (RecordId n : clustering.label_new_members[label]) {
+            const GroupId gn = new_dataset.record(n).group;
+            if (slot[gn]++ == 0) new_groups.push_back(gn);
+            pairs.push_back({gn, o, n});
+          }
+        }
+        block.member_pairs += pairs.size();
+        std::sort(new_groups.begin(), new_groups.end());
+        uint32_t offset = 0;
+        for (GroupId gn : new_groups) {
+          const uint32_t count = slot[gn];
+          slot[gn] = offset;
+          offset += count;
+        }
+        grouped.resize(pairs.size());
+        for (const MemberPair& p : pairs) grouped[slot[p.new_group]++] = p;
+        // slot[gn] is now the end of gn's run; runs are in new_groups order.
+        uint32_t begin = 0;
+        for (GroupId gn : new_groups) {
+          const uint32_t end = slot[gn];
+          slot[gn] = 0;
+          bool two_old = false;
+          bool two_new = false;
+          for (uint32_t k = begin + 1; k < end; ++k) {
+            two_old |= grouped[k].old_id != grouped[begin].old_id;
+            two_new |= grouped[k].new_id != grouped[begin].new_id;
+          }
+          if (two_old && two_new) {
+            ++block.candidate_group_pairs;
+            GroupPairSubgraph subgraph = BuildFromMemberPairs(
+                go, gn, grouped.data() + begin, grouped.data() + end,
+                old_graphs[go], new_graphs[gn], clustering, prematcher,
+                config, old_dataset, new_dataset, delta);
+            if (!subgraph.empty()) block.kept.push_back(std::move(subgraph));
+          } else {
+            ++block.filtered_keys;
+          }
+          begin = end;
+        }
+      }
+    }
+  });
+
+  std::vector<GroupPairSubgraph> subgraphs;
   uint64_t member_pairs = 0;
   uint64_t filtered_keys = 0;
-  for (GroupId go = 0; go < old_graphs.size(); ++go) {
-    scratch.clear();
-    for (RecordId o : old_graphs[go].members()) {
-      const uint32_t label = clustering.old_labels[o];
-      if (label == Clustering::kNoLabel) continue;
-      for (RecordId n : clustering.label_new_members[label]) {
-        scratch.push_back({new_dataset.record(n).group, o, n});
-      }
-    }
-    member_pairs += scratch.size();
-    std::sort(scratch.begin(), scratch.end(),
-              [](const MemberPair& a, const MemberPair& b) {
-                return std::tie(a.new_group, a.old_id, a.new_id) <
-                       std::tie(b.new_group, b.old_id, b.new_id);
-              });
-    for (size_t i = 0; i < scratch.size();) {
-      bool two_old = false;
-      bool two_new = false;
-      size_t j = i + 1;
-      for (; j < scratch.size() && scratch[j].new_group == scratch[i].new_group;
-           ++j) {
-        two_old |= scratch[j].old_id != scratch[i].old_id;
-        two_new |= scratch[j].new_id != scratch[i].new_id;
-      }
-      if (two_old && two_new) {
-        runs.push_back({go, scratch[i].new_group, members.size(),
-                        members.size() + (j - i)});
-        members.insert(members.end(), scratch.begin() + i, scratch.begin() + j);
-      } else {
-        ++filtered_keys;
-      }
-      i = j;
-    }
-  }
-
-  // Each candidate group pair builds and scores independently. Blocks of
-  // keys keep only their non-empty subgraphs and come back in key order,
-  // so the kept-subgraph list is identical to the serial path for any
-  // thread count.
-  constexpr size_t kBlock = 64;
-  const size_t num_blocks = (runs.size() + kBlock - 1) / kBlock;
-  std::vector<std::vector<GroupPairSubgraph>> blocks =
-      ParallelMap<std::vector<GroupPairSubgraph>>(
-          num_blocks, "subgraph.build_chunk", [&](size_t b) {
-            std::vector<GroupPairSubgraph> kept;
-            const size_t end = std::min(runs.size(), (b + 1) * kBlock);
-            for (size_t i = b * kBlock; i < end; ++i) {
-              const GroupPairRun& run = runs[i];
-              GroupPairSubgraph subgraph = BuildFromMemberPairs(
-                  run.old_group, run.new_group, members.data() + run.begin,
-                  members.data() + run.end, old_graphs[run.old_group],
-                  new_graphs[run.new_group], clustering, prematcher, config,
-                  old_dataset, new_dataset, delta);
-              if (!subgraph.empty()) kept.push_back(std::move(subgraph));
-            }
-            return kept;
-          });
-  std::vector<GroupPairSubgraph> subgraphs;
-  for (std::vector<GroupPairSubgraph>& block : blocks) {
-    for (GroupPairSubgraph& subgraph : block) {
+  uint64_t candidate_group_pairs = 0;
+  for (Block& block : blocks) {
+    member_pairs += block.member_pairs;
+    filtered_keys += block.filtered_keys;
+    candidate_group_pairs += block.candidate_group_pairs;
+    for (GroupPairSubgraph& subgraph : block.kept) {
       TGLINK_HISTOGRAM_SIZE("subgraph.vertices", subgraph.vertices.size());
       subgraphs.push_back(std::move(subgraph));
     }
   }
   TGLINK_COUNTER_ADD("subgraph.member_pairs", member_pairs);
   TGLINK_COUNTER_ADD("subgraph.filtered_keys", filtered_keys);
-  TGLINK_COUNTER_ADD("subgraph.candidate_group_pairs", runs.size());
+  TGLINK_COUNTER_ADD("subgraph.candidate_group_pairs", candidate_group_pairs);
   TGLINK_COUNTER_ADD("subgraph.built", subgraphs.size());
-  TGLINK_COUNTER_ADD("subgraph.pruned_empty", runs.size() - subgraphs.size());
+  TGLINK_COUNTER_ADD("subgraph.pruned_empty",
+                     candidate_group_pairs - subgraphs.size());
   return subgraphs;
 }
 

@@ -6,6 +6,7 @@
 #ifndef TGLINK_LINKAGE_SUBGRAPH_H_
 #define TGLINK_LINKAGE_SUBGRAPH_H_
 
+#include <cstddef>
 #include <vector>
 
 #include "tglink/census/dataset.h"
@@ -67,6 +68,10 @@ GroupPairSubgraph BuildGroupPairSubgraph(
     const PreMatcher& prematcher, const LinkageConfig& config,
     const CensusDataset& old_dataset, const CensusDataset& new_dataset,
     double delta);
+
+/// BuildAllSubgraphs hands old households to the pool in blocks of this
+/// many; the output does not depend on it.
+inline constexpr size_t kSubgraphBlockHouseholds = 16;
 
 /// Returns the non-empty scored subgraphs of all group pairs sharing >= 1
 /// cluster label, ordered by (old group, new group). Only pairs whose

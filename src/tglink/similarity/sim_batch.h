@@ -117,7 +117,6 @@ class SimBatch {
   struct FieldTable {
     std::string arena;
     std::vector<uint32_t> offsets;  // per value id, size num_values()+1
-    std::vector<unsigned char> first_char;
     std::vector<uint32_t> old_ids;  // per old record
     std::vector<uint32_t> new_ids;  // per new record
     // Sorted packed gram profiles, concatenated; gramN_starts has

@@ -16,7 +16,6 @@ SimCache::SimCache(const SimilarityFunction& fn,
   spec_caches_.resize(fn.specs().size());
   for (size_t i = 0; i < fn.specs().size(); ++i) {
     if (!batch_.UsesFallback(i)) continue;
-    spec_caches_[i].enabled = true;
     spec_caches_[i].shards = std::make_unique<Shard[]>(kNumShards);
   }
   fallback_ = [this](size_t i, uint32_t old_vid, uint32_t new_vid,
@@ -32,7 +31,7 @@ SimCache::~SimCache() {
   // only grows, so the destructor sees the true maximum.
   uint64_t memo_bytes = spec_caches_.size() * sizeof(SpecCache);
   for (const SpecCache& cache : spec_caches_) {
-    if (!cache.enabled) continue;
+    if (cache.shards == nullptr) continue;
     memo_bytes += kNumShards * sizeof(Shard);
     for (size_t s = 0; s < kNumShards; ++s) {
       Shard& shard = cache.shards[s];
@@ -48,7 +47,7 @@ double SimCache::MemoizedMeasure(size_t spec_index, uint32_t old_vid,
                                  uint32_t new_vid, std::string_view a,
                                  std::string_view b) const {
   const SpecCache& cache = spec_caches_[spec_index];
-  TGLINK_DCHECK(cache.enabled);
+  TGLINK_DCHECK(cache.shards != nullptr);
   const uint64_t key = (static_cast<uint64_t>(old_vid) << 32) | new_vid;
   Shard& shard = cache.shards[ShardIndex(key)];
   {

@@ -97,10 +97,10 @@ class SimCache {
     std::unordered_map<uint64_t, double> memo TGLINK_GUARDED_BY(mu);
   };
 
-  /// Memo state of one component of fn.specs(); enabled exactly for the
-  /// components SimBatch scores through its fallback.
+  /// Memo state of one component of fn.specs(); `shards` is allocated
+  /// exactly for the components SimBatch scores through its fallback and
+  /// null for the rest.
   struct SpecCache {
-    bool enabled = false;
     std::unique_ptr<Shard[]> shards;
   };
 

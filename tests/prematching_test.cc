@@ -3,13 +3,16 @@
 #include <algorithm>
 #include <iterator>
 #include <map>
+#include <string>
 #include <utility>
 
 #include <gtest/gtest.h>
 
+#include "tglink/graph/union_find.h"
 #include "tglink/linkage/config.h"
 #include "tglink/obs/metrics.h"
 #include "tglink/synth/generator.h"
+#include "tglink/util/random.h"
 #include "tests/paper_example.h"
 
 namespace tglink {
@@ -151,31 +154,61 @@ TEST(PreMatchingTest, ScoredPairsRespectMinThreshold) {
       },
       0.5);
   PreMatcher pm(old_d, new_d, f, BlockingConfig::MakeExhaustive(), 0.6);
-  for (const ScoredPair& p : pm.scored_pairs()) {
+  size_t visited = 0;
+  pm.ForEachKeptPair([&visited](const ScoredPair& p) {
     EXPECT_GE(p.sim, 0.6);
-  }
+    ++visited;
+  });
+  EXPECT_EQ(visited, pm.num_kept_pairs());
+  EXPECT_GT(visited, 0u);
 }
 
-// The CSR kept-pair store answers every kept pair with its stored score,
-// checked against an ordered-map oracle built from scored_pairs().
-TEST(PreMatchingTest, PairSimilarityMatchesMapOracleForEveryKeptPair) {
+SyntheticPair SmallSyntheticPair() {
   GeneratorConfig gen;
   gen.seed = 1807;
   gen.scale = 0.05;
   gen.num_censuses = 2;
-  const SyntheticPair pair = GenerateCensusPair(gen, 0);
-  const LinkageConfig config = configs::DefaultConfig();
-  SimilarityFunction f = config.sim_func;
+  return GenerateCensusPair(gen, 0);
+}
+
+SimilarityFunction DefaultSimFunc(const SyntheticPair& pair) {
+  SimilarityFunction f = configs::DefaultConfig().sim_func;
   f.set_year_gap(pair.new_dataset.year() - pair.old_dataset.year());
+  return f;
+}
+
+// The kept pairs are exactly the blocking candidates whose directly
+// computed similarity reaches min_threshold, enumerated in (old, new) order
+// with that similarity, and the CSR store answers each of them without a
+// miss. The oracle is an ordered map built from the candidates.
+TEST(PreMatchingTest, PairSimilarityMatchesMapOracleForEveryKeptPair) {
+  const SyntheticPair pair = SmallSyntheticPair();
+  const LinkageConfig config = configs::DefaultConfig();
+  const SimilarityFunction f = DefaultSimFunc(pair);
   const PreMatcher pm(pair.old_dataset, pair.new_dataset, f, config.blocking,
                       config.delta_low);
   std::map<std::pair<RecordId, RecordId>, double> oracle;
-  for (const ScoredPair& p : pm.scored_pairs()) {
-    EXPECT_TRUE(oracle.emplace(std::make_pair(p.old_id, p.new_id), p.sim)
-                    .second)
-        << "duplicate kept pair (" << p.old_id << ", " << p.new_id << ")";
+  for (const CandidatePair& cand : GenerateCandidatePairs(
+           pair.old_dataset, pair.new_dataset, config.blocking)) {
+    const double sim =
+        f.AggregateSimilarity(pair.old_dataset.record(cand.old_id),
+                              pair.new_dataset.record(cand.new_id));
+    if (sim < config.delta_low) continue;
+    EXPECT_TRUE(
+        oracle.emplace(std::make_pair(cand.old_id, cand.new_id), sim).second)
+        << "duplicate candidate (" << cand.old_id << ", " << cand.new_id
+        << ")";
   }
   ASSERT_GT(oracle.size(), 100u);
+  ASSERT_EQ(pm.num_kept_pairs(), oracle.size());
+  auto next = oracle.begin();
+  pm.ForEachKeptPair([&](const ScoredPair& p) {
+    ASSERT_NE(next, oracle.end());
+    EXPECT_EQ(p.old_id, next->first.first);
+    EXPECT_EQ(p.new_id, next->first.second);
+    EXPECT_EQ(p.sim, next->second);
+    ++next;
+  });
   obs::Counter& misses =
       obs::GlobalMetrics().GetCounter("simcache.prematch_miss");
   const uint64_t misses_before = misses.Value();
@@ -183,6 +216,192 @@ TEST(PreMatchingTest, PairSimilarityMatchesMapOracleForEveryKeptPair) {
     EXPECT_EQ(pm.PairSimilarity(key.first, key.second), sim);
   }
   EXPECT_EQ(misses.Value(), misses_before) << "a kept pair missed the store";
+}
+
+// ---------------------------------------------------------------------------
+// Cluster oracle: the former implementation, which sorted the kept pairs by
+// descending similarity (ties by ascending (old, new)) and unioned the
+// prefix admissible at δ. The library scans its CSR rows in (old, new)
+// order instead; both must produce the same Clustering and pair count.
+
+struct ClusterOracle {
+  std::vector<ScoredPair> descending;
+  size_t n_old;
+  size_t n_new;
+
+  explicit ClusterOracle(const PreMatcher& pm, size_t old_records,
+                         size_t new_records)
+      : n_old(old_records), n_new(new_records) {
+    pm.ForEachKeptPair(
+        [this](const ScoredPair& p) { descending.push_back(p); });
+    std::sort(descending.begin(), descending.end(),
+              [](const ScoredPair& a, const ScoredPair& b) {
+                if (a.sim != b.sim) return a.sim > b.sim;
+                if (a.old_id != b.old_id) return a.old_id < b.old_id;
+                return a.new_id < b.new_id;
+              });
+  }
+
+  size_t PrefixAtDelta(double delta) const {
+    return static_cast<size_t>(
+        std::partition_point(
+            descending.begin(), descending.end(),
+            [delta](const ScoredPair& p) { return p.sim + 1e-12 >= delta; }) -
+        descending.begin());
+  }
+
+  size_t CountPairsAtDelta(double delta, const std::vector<bool>& active_old,
+                           const std::vector<bool>& active_new) const {
+    const size_t prefix = PrefixAtDelta(delta);
+    size_t count = 0;
+    for (size_t i = 0; i < prefix; ++i) {
+      const ScoredPair& p = descending[i];
+      if (active_old[p.old_id] && active_new[p.new_id]) ++count;
+    }
+    return count;
+  }
+
+  Clustering Cluster(double delta, const std::vector<bool>& active_old,
+                     const std::vector<bool>& active_new) const {
+    const size_t prefix = PrefixAtDelta(delta);
+    UnionFind uf(n_old + n_new);
+    for (size_t i = 0; i < prefix; ++i) {
+      const ScoredPair& p = descending[i];
+      if (!active_old[p.old_id] || !active_new[p.new_id]) continue;
+      uf.Union(p.old_id, n_old + p.new_id);
+    }
+    const std::vector<uint32_t> labels = uf.ComponentLabels();
+    Clustering c;
+    c.old_labels.assign(n_old, Clustering::kNoLabel);
+    c.new_labels.assign(n_new, Clustering::kNoLabel);
+    c.num_labels = uf.num_components();
+    c.label_old_members.resize(c.num_labels);
+    c.label_new_members.resize(c.num_labels);
+    for (size_t r = 0; r < n_old; ++r) {
+      if (!active_old[r]) continue;
+      c.old_labels[r] = labels[r];
+      c.label_old_members[labels[r]].push_back(static_cast<RecordId>(r));
+    }
+    for (size_t r = 0; r < n_new; ++r) {
+      if (!active_new[r]) continue;
+      c.new_labels[r] = labels[n_old + r];
+      c.label_new_members[labels[n_old + r]].push_back(
+          static_cast<RecordId>(r));
+    }
+    return c;
+  }
+};
+
+void ExpectSameClustering(const PreMatcher& pm, const ClusterOracle& oracle,
+                          double delta, const std::vector<bool>& active_old,
+                          const std::vector<bool>& active_new,
+                          const std::string& where) {
+  const Clustering want = oracle.Cluster(delta, active_old, active_new);
+  const Clustering got = pm.Cluster(delta, active_old, active_new);
+  EXPECT_EQ(got.num_labels, want.num_labels) << where;
+  EXPECT_EQ(got.old_labels, want.old_labels) << where;
+  EXPECT_EQ(got.new_labels, want.new_labels) << where;
+  EXPECT_EQ(got.label_old_members, want.label_old_members) << where;
+  EXPECT_EQ(got.label_new_members, want.label_new_members) << where;
+  EXPECT_EQ(pm.CountPairsAtDelta(delta, active_old, active_new),
+            oracle.CountPairsAtDelta(delta, active_old, active_new))
+      << where;
+}
+
+/// Every δ of the default schedule, each with all records active and with
+/// three random inactive masks (a quarter of each side inactive).
+void CompareClusteringOverSchedule(const PreMatcher& pm,
+                                   const CensusDataset& old_d,
+                                   const CensusDataset& new_d,
+                                   const std::string& name) {
+  const ClusterOracle oracle(pm, old_d.num_records(), new_d.num_records());
+  const LinkageConfig config = configs::DefaultConfig();
+  Rng rng(20170321);
+  size_t rounds = 0;
+  for (double delta = config.delta_high; delta + 1e-9 >= config.delta_low;
+       delta -= config.delta_step, ++rounds) {
+    for (int mask = 0; mask < 4; ++mask) {
+      std::vector<bool> active_old(old_d.num_records(), true);
+      std::vector<bool> active_new(new_d.num_records(), true);
+      if (mask > 0) {
+        for (size_t r = 0; r < active_old.size(); ++r) {
+          active_old[r] = !rng.Bernoulli(0.25);
+        }
+        for (size_t r = 0; r < active_new.size(); ++r) {
+          active_new[r] = !rng.Bernoulli(0.25);
+        }
+      }
+      ExpectSameClustering(pm, oracle, delta, active_old, active_new,
+                           name + " at delta " + std::to_string(delta) +
+                               ", mask " + std::to_string(mask));
+    }
+  }
+  EXPECT_EQ(rounds, 5u) << name;
+}
+
+TEST(PreMatchingClusterOracleTest, PaperFixtureMatchesOracleOverSchedule) {
+  const CensusDataset old_d = MakeCensus1871();
+  const CensusDataset new_d = MakeCensus1881();
+  SimilarityFunction f(
+      {
+          {Field::kFirstName, Measure::kQGramDice, 0.5},
+          {Field::kSurname, Measure::kQGramDice, 0.5},
+      },
+      0.5);
+  const PreMatcher pm(old_d, new_d, f, BlockingConfig::MakeExhaustive(),
+                      configs::DefaultConfig().delta_low);
+  ASSERT_GT(pm.num_kept_pairs(), 0u);
+  CompareClusteringOverSchedule(pm, old_d, new_d, "paper");
+}
+
+TEST(PreMatchingClusterOracleTest, SyntheticPairMatchesOracleOverSchedule) {
+  const SyntheticPair pair = SmallSyntheticPair();
+  const LinkageConfig config = configs::DefaultConfig();
+  const PreMatcher pm(pair.old_dataset, pair.new_dataset,
+                      DefaultSimFunc(pair), config.blocking, config.delta_low);
+  ASSERT_GT(pm.num_kept_pairs(), 100u);
+  CompareClusteringOverSchedule(pm, pair.old_dataset, pair.new_dataset,
+                                "synthetic");
+}
+
+// The admission test is sim + 1e-12 >= δ. A kept pair whose sim equals δ
+// exactly is admitted, so is one 1e-13 below δ, and one 1e-11 below is not.
+TEST(PreMatchingClusterOracleTest, AdmissionToleranceIsUnchanged) {
+  const SyntheticPair pair = SmallSyntheticPair();
+  const LinkageConfig config = configs::DefaultConfig();
+  const PreMatcher pm(pair.old_dataset, pair.new_dataset,
+                      DefaultSimFunc(pair), config.blocking, config.delta_low);
+  const ClusterOracle oracle(pm, pair.old_dataset.num_records(),
+                             pair.new_dataset.num_records());
+  // A kept pair whose similarity no other kept pair shares.
+  const ScoredPair* probe = nullptr;
+  for (size_t i = 0; i < oracle.descending.size() && probe == nullptr; ++i) {
+    const double sim = oracle.descending[i].sim;
+    const bool unique =
+        (i == 0 || oracle.descending[i - 1].sim != sim) &&
+        (i + 1 == oracle.descending.size() ||
+         oracle.descending[i + 1].sim != sim);
+    if (unique && sim > config.delta_low && sim < 1.0) {
+      probe = &oracle.descending[i];
+    }
+  }
+  ASSERT_NE(probe, nullptr);
+  const double sim = probe->sim;
+  const std::vector<bool> all_old(pair.old_dataset.num_records(), true);
+  const std::vector<bool> all_new(pair.new_dataset.num_records(), true);
+  const size_t at = pm.CountPairsAtDelta(sim, all_old, all_new);
+  EXPECT_EQ(pm.CountPairsAtDelta(sim + 1e-13, all_old, all_new), at);
+  EXPECT_EQ(pm.CountPairsAtDelta(sim + 1e-11, all_old, all_new), at - 1);
+  for (const double delta : {sim, sim + 1e-13, sim + 1e-11}) {
+    ExpectSameClustering(pm, oracle, delta, all_old, all_new,
+                         "tolerance probe at sim + " +
+                             std::to_string(delta - sim));
+  }
+  // Admitted 1e-13 below the threshold, the probe pair joins its records
+  // under one label.
+  const Clustering admitted = pm.Cluster(sim + 1e-13, all_old, all_new);
+  EXPECT_EQ(admitted.old_labels[probe->old_id],
+            admitted.new_labels[probe->new_id]);
 }
 
 // Lookups that must miss the store and fall through to the memo layer,
@@ -235,7 +454,7 @@ class PreMatchingMissTest : public ::testing::Test {
 };
 
 TEST_F(PreMatchingMissTest, StoreHoldsExactlyTheMatchingPairs) {
-  ASSERT_EQ(prematcher_.scored_pairs().size(), 2u);
+  ASSERT_EQ(prematcher_.num_kept_pairs(), 2u);
   EXPECT_EQ(prematcher_.PairSimilarity(1, 0), 1.0);
   EXPECT_EQ(prematcher_.PairSimilarity(2, 1), 1.0);
 }

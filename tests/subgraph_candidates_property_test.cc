@@ -1,19 +1,24 @@
 // Differential verification of BuildAllSubgraphs' candidate generation
-// (DESIGN.md §14). The library enumerates label-shared member pairs per old
-// household, groups them into runs by household-pair key, and builds only
-// keys whose run holds two distinct old and two distinct new records. This
-// suite keeps the former unfiltered enumeration as the oracle: every
-// old×new cross product of every label nominates a household pair, and
-// each nominated pair is built by the former |old|×|new| member scan. The
-// two must return the same non-empty subgraphs, element by element and
-// bit for bit, at every δ of the schedule:
+// (DESIGN.md §14). The library hands blocks of old households to the pool;
+// each household enumerates its label-shared member pairs, groups them by
+// new household with a counting pass, and builds only keys whose member
+// pairs hold two distinct old and two distinct new records. This suite
+// keeps the former unfiltered enumeration as the oracle: every old×new
+// cross product of every label nominates a household pair, and each
+// nominated pair is built by the former |old|×|new| member scan. The two
+// must return the same non-empty subgraphs, element by element and bit
+// for bit, and the same subgraph.member_pairs, filtered_keys,
+// candidate_group_pairs and built counts, at every δ of the schedule:
 //
 //   * on the paper's Fig. 3/4 fixture and on every scenario-registry
 //     preset at small scale, replaying Algorithm 1's rounds so the active
 //     record sets shrink as they do in LinkCensusPair;
+//   * on a census pair whose old-household count leaves a partial last
+//     block;
 //   * on hand-built clusterings that hit the filter's edge cases: a key
-//     with one member pair, a key whose pairs share one old record, and a
-//     key fed by two different labels.
+//     with one member pair, a key whose pairs share one old record, a key
+//     fed by two different labels, and one old household feeding three
+//     new households through two labels.
 //
 // Runs serially by default; TGLINK_TEST_THREADS=0 (a second ctest entry)
 // reruns everything on one worker per hardware thread.
@@ -21,8 +26,11 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
+#include <map>
+#include <set>
 #include <string>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -162,36 +170,88 @@ GroupPairSubgraph OracleBuild(GroupId old_group, GroupId new_group,
   return subgraph;
 }
 
+/// The counters BuildAllSubgraphs reports for one call.
+struct Counts {
+  uint64_t member_pairs = 0;
+  uint64_t filtered_keys = 0;
+  uint64_t candidate_group_pairs = 0;
+  uint64_t built = 0;
+};
+
+Counts ReadCounts() {
+  obs::MetricsRegistry& m = obs::GlobalMetrics();
+  return {m.GetCounter("subgraph.member_pairs").Value(),
+          m.GetCounter("subgraph.filtered_keys").Value(),
+          m.GetCounter("subgraph.candidate_group_pairs").Value(),
+          m.GetCounter("subgraph.built").Value()};
+}
+
+Counts CountsSince(const Counts& before) {
+  const Counts after = ReadCounts();
+  return {after.member_pairs - before.member_pairs,
+          after.filtered_keys - before.filtered_keys,
+          after.candidate_group_pairs - before.candidate_group_pairs,
+          after.built - before.built};
+}
+
+void ExpectSameCounts(const Counts& expected, const Counts& actual,
+                      const std::string& where) {
+  EXPECT_EQ(expected.member_pairs, actual.member_pairs) << where;
+  EXPECT_EQ(expected.filtered_keys, actual.filtered_keys) << where;
+  EXPECT_EQ(expected.candidate_group_pairs, actual.candidate_group_pairs)
+      << where;
+  EXPECT_EQ(expected.built, actual.built) << where;
+}
+
+struct OracleResult {
+  std::vector<GroupPairSubgraph> subgraphs;
+  Counts counts;
+};
+
 /// Every (old household, new household) pair sharing a label, built
-/// unfiltered; the non-empty subgraphs in key order.
-std::vector<GroupPairSubgraph> OracleBuildAll(
-    const CensusDataset& old_dataset, const CensusDataset& new_dataset,
-    const std::vector<HouseholdGraph>& old_graphs,
-    const std::vector<HouseholdGraph>& new_graphs,
-    const Clustering& clustering, const PreMatcher& prematcher,
-    const LinkageConfig& config, double delta) {
-  std::vector<uint64_t> keys;
+/// unfiltered; the non-empty subgraphs in key order. The counts are those
+/// the two-and-two filter implies: a key is a candidate iff its member
+/// pairs hold two distinct old and two distinct new records.
+OracleResult OracleBuildAll(const CensusDataset& old_dataset,
+                            const CensusDataset& new_dataset,
+                            const std::vector<HouseholdGraph>& old_graphs,
+                            const std::vector<HouseholdGraph>& new_graphs,
+                            const Clustering& clustering,
+                            const PreMatcher& prematcher,
+                            const LinkageConfig& config, double delta) {
+  std::map<uint64_t, std::vector<std::pair<RecordId, RecordId>>> keys;
+  OracleResult result;
   for (uint32_t label = 0; label < clustering.num_labels; ++label) {
     for (RecordId o : clustering.label_old_members[label]) {
       const GroupId go = old_dataset.record(o).group;
       for (RecordId n : clustering.label_new_members[label]) {
         const GroupId gn = new_dataset.record(n).group;
-        keys.push_back((static_cast<uint64_t>(go) << 32) | gn);
+        keys[(static_cast<uint64_t>(go) << 32) | gn].emplace_back(o, n);
+        ++result.counts.member_pairs;
       }
     }
   }
-  std::sort(keys.begin(), keys.end());
-  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
-  std::vector<GroupPairSubgraph> subgraphs;
-  for (uint64_t key : keys) {
+  for (const auto& [key, members] : keys) {
+    std::set<RecordId> olds;
+    std::set<RecordId> news;
+    for (const auto& [o, n] : members) {
+      olds.insert(o);
+      news.insert(n);
+    }
+    if (olds.size() >= 2 && news.size() >= 2) {
+      ++result.counts.candidate_group_pairs;
+    } else {
+      ++result.counts.filtered_keys;
+    }
     const GroupId go = static_cast<GroupId>(key >> 32);
     const GroupId gn = static_cast<GroupId>(key & 0xFFFFFFFFu);
     GroupPairSubgraph subgraph =
         OracleBuild(go, gn, old_graphs[go], new_graphs[gn], clustering,
                     prematcher, config, old_dataset, new_dataset, delta);
-    if (!subgraph.empty()) subgraphs.push_back(std::move(subgraph));
+    if (!subgraph.empty()) result.subgraphs.push_back(std::move(subgraph));
   }
-  return subgraphs;
+  result.counts.built = result.subgraphs.size();
+  return result;
 }
 
 // ---------------------------------------------------------------------------
@@ -250,14 +310,17 @@ size_t CompareOverSchedule(const CensusDataset& old_d,
        delta -= config.delta_step) {
     const Clustering clustering =
         prematcher.Cluster(delta, active_old, active_new);
+    const Counts before = ReadCounts();
     std::vector<GroupPairSubgraph> actual =
         BuildAllSubgraphs(old_d, new_d, old_graphs, new_graphs, clustering,
                           prematcher, config, delta);
-    const std::vector<GroupPairSubgraph> expected =
+    const Counts counts = CountsSince(before);
+    const OracleResult expected =
         OracleBuildAll(old_d, new_d, old_graphs, new_graphs, clustering,
                        prematcher, config, delta);
-    ExpectSameSubgraphs(expected, actual,
-                        name + " at delta " + std::to_string(delta));
+    const std::string where = name + " at delta " + std::to_string(delta);
+    ExpectSameSubgraphs(expected.subgraphs, actual, where);
+    ExpectSameCounts(expected.counts, counts, where);
     built += actual.size();
     (void)SelectGroupLinks(std::move(actual), &groups, &records, &active_old,
                            &active_new);
@@ -315,6 +378,32 @@ TEST_F(SubgraphCandidatesPropertyTest, EveryScenarioPresetMatchesOracle) {
   }
 }
 
+// BuildAllSubgraphs hands old households to the pool in blocks; a census
+// pair whose old-household count leaves a partial last block must still
+// match the oracle, including the keys of that last block.
+TEST_F(SubgraphCandidatesPropertyTest, PartialLastBlockMatchesOracle) {
+  bool found = false;
+  for (const double scale : {0.03, 0.05, 0.08}) {
+    GeneratorConfig gen;
+    gen.seed = 1807;
+    gen.scale = scale;
+    gen.num_censuses = 2;
+    const SyntheticPair pair = GenerateCensusPair(gen, 0);
+    const size_t households = pair.old_dataset.num_households();
+    if (households <= kSubgraphBlockHouseholds ||
+        households % kSubgraphBlockHouseholds == 0) {
+      continue;
+    }
+    found = true;
+    EXPECT_GT(CompareOverSchedule(pair.old_dataset, pair.new_dataset,
+                                  configs::DefaultConfig(),
+                                  "scale " + std::to_string(scale)),
+              0u);
+    break;
+  }
+  ASSERT_TRUE(found) << "no scale gave a partial last block";
+}
+
 // ---------------------------------------------------------------------------
 // Hand-built clusterings on the paper fixture. Records: 1871 household A =
 // {0 john, 1 elizabeth, 2 alice, 3 william}; 1881 household A = {0 john,
@@ -354,19 +443,6 @@ class SubgraphCandidateEdgeCaseTest : public SubgraphCandidatesPropertyTest {
     return c;
   }
 
-  struct Counts {
-    uint64_t member_pairs;
-    uint64_t filtered_keys;
-    uint64_t candidate_group_pairs;
-  };
-
-  static Counts ReadCounts() {
-    obs::MetricsRegistry& m = obs::GlobalMetrics();
-    return {m.GetCounter("subgraph.member_pairs").Value(),
-            m.GetCounter("subgraph.filtered_keys").Value(),
-            m.GetCounter("subgraph.candidate_group_pairs").Value()};
-  }
-
   /// Builds with the library and the oracle, checks they agree, and
   /// returns the library's subgraphs plus the counter deltas.
   std::vector<GroupPairSubgraph> BuildBoth(const Clustering& clustering,
@@ -375,14 +451,12 @@ class SubgraphCandidateEdgeCaseTest : public SubgraphCandidatesPropertyTest {
     std::vector<GroupPairSubgraph> actual =
         BuildAllSubgraphs(old_d_, new_d_, old_graphs_, new_graphs_,
                           clustering, prematcher_, config_, delta);
-    const Counts after = ReadCounts();
-    *counts = {after.member_pairs - before.member_pairs,
-               after.filtered_keys - before.filtered_keys,
-               after.candidate_group_pairs - before.candidate_group_pairs};
-    ExpectSameSubgraphs(OracleBuildAll(old_d_, new_d_, old_graphs_,
-                                       new_graphs_, clustering, prematcher_,
-                                       config_, delta),
-                        actual, "hand-built");
+    *counts = CountsSince(before);
+    const OracleResult expected =
+        OracleBuildAll(old_d_, new_d_, old_graphs_, new_graphs_, clustering,
+                       prematcher_, config_, delta);
+    ExpectSameSubgraphs(expected.subgraphs, actual, "hand-built");
+    ExpectSameCounts(expected.counts, *counts, "hand-built");
     return actual;
   }
 
@@ -436,6 +510,30 @@ TEST_F(SubgraphCandidateEdgeCaseTest, KeyFedByTwoLabelsIsBuilt) {
   EXPECT_EQ(subgraphs[0].new_group, testing_example::kG1881A);
   EXPECT_EQ(subgraphs[0].vertices.size(), 2u);
   EXPECT_EQ(subgraphs[0].edges.size(), 1u);
+}
+
+TEST_F(SubgraphCandidateEdgeCaseTest,
+       OldHouseholdFeedingSeveralNewHouseholdsThroughTwoLabels) {
+  // The Johns and the Elizabeths of 1881 households A (0, 1), B (3, 4) and
+  // D (8, 9) share a label with 1871 household A's John (0) and Elizabeth
+  // (1) respectively, so one old household nominates three new ones, each
+  // through both labels.
+  Counts counts{};
+  const auto subgraphs = BuildBoth(
+      MakeClustering({{{0}, {0, 3, 8}}, {{1}, {1, 4, 9}}}), 0.0, &counts);
+  EXPECT_EQ(counts.member_pairs, 6u);
+  EXPECT_EQ(counts.filtered_keys, 0u);
+  EXPECT_EQ(counts.candidate_group_pairs, 3u);
+  EXPECT_EQ(counts.built, subgraphs.size());
+  ASSERT_FALSE(subgraphs.empty());
+  for (const GroupPairSubgraph& subgraph : subgraphs) {
+    EXPECT_EQ(subgraph.old_group, testing_example::kG1871A);
+  }
+  EXPECT_TRUE(std::is_sorted(subgraphs.begin(), subgraphs.end(),
+                             [](const GroupPairSubgraph& a,
+                                const GroupPairSubgraph& b) {
+                               return a.new_group < b.new_group;
+                             }));
 }
 
 }  // namespace

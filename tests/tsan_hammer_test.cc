@@ -111,8 +111,8 @@ TEST(TsanHammerTest, PreMatcherPairSimilarityConcurrentLookups) {
     }
   }
   const PreMatcher shared(old_d, new_d, fn, blocking, 0.5);
-  ASSERT_GT(shared.scored_pairs().size(), 0u);
-  ASSERT_LT(shared.scored_pairs().size(), want.size());
+  ASSERT_GT(shared.num_kept_pairs(), 0u);
+  ASSERT_LT(shared.num_kept_pairs(), want.size());
 
   constexpr int kThreads = 4;
   constexpr int kRounds = 30;

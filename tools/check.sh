@@ -1,7 +1,8 @@
 #!/bin/sh
 # One-shot correctness gate for tglink — the repo's CI entrypoint.
 #
-#   tools/check.sh            # Release + ASan/UBSan presets, tests, lint
+#   tools/check.sh            # Release + ASan/UBSan presets, tests, lint,
+#                             # tsan, coverage, perfbench self-test
 #   tools/check.sh --quick    # Release preset + lint only
 #
 # Exits non-zero on the first failing stage. Stages that need LLVM tooling
@@ -191,11 +192,22 @@ if [ "$quick" -eq 0 ]; then
     --filter src/tglink/blocking/ --filter src/tglink/similarity/ \
     --min-percent 90
   note ran "coverage gate"
+
+  # Benchmark self-test: perfbench builds its own Release tree
+  # (.bench_build, or $CARGO_TARGET_DIR), checks that a tampered output
+  # fingerprint counts as a failed operation, and makes one traced run
+  # whose replay of Algorithm 1 from the public entry points (PreMatcher,
+  # Cluster, BuildAllSubgraphs, SelectGroupLinks, residual passes) must
+  # reproduce LinkCensusPair byte for byte (trace.replay_match = 1).
+  stage "perfbench self-test (tamper detection + traced replay)"
+  python3 perfbench/run.py --selftest
+  note ran "perfbench self-test"
 else
   note SKIPPED "asan preset" "--quick"
   note SKIPPED "fuzz smoke" "--quick"
   note SKIPPED "tsan hammers" "--quick"
   note SKIPPED "coverage gate" "--quick"
+  note SKIPPED "perfbench self-test" "--quick"
 fi
 
 if command -v clang-tidy >/dev/null 2>&1; then
