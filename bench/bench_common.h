@@ -46,10 +46,10 @@ struct BenchOptions {
   /// default, today's behaviour), 0 = one per hardware thread. Results are
   /// identical for every value — see util/parallel.h.
   int threads = 1;
-  /// Candidate generation: "hash" (multi-pass hash blocking, the default),
-  /// "index" (inverted candidate index; same candidate set, faster at
-  /// scale), or "exhaustive" (the paper's cross product).
-  std::string blocking = "hash";
+  /// Candidate generation: "index" (the three phonetic passes served by the
+  /// inverted candidate index, the default) or "exhaustive" (the paper's
+  /// cross product).
+  std::string blocking = "index";
   /// > 0 starts the obs heartbeat: one stderr line every N seconds with the
   /// current stage, pairs/sec and live RSS (long full-scale runs).
   double heartbeat_s = 0.0;
@@ -143,10 +143,8 @@ inline BenchOptions ParseBenchOptions(int argc, char** argv,
       }
     } else if (std::strncmp(arg, "--blocking=", 11) == 0) {
       options.blocking = arg + 11;
-      if (options.blocking != "hash" && options.blocking != "index" &&
-          options.blocking != "exhaustive") {
-        detail::OptionError("--blocking", arg + 11,
-                            "hash, index or exhaustive");
+      if (options.blocking != "index" && options.blocking != "exhaustive") {
+        detail::OptionError("--blocking", arg + 11, "index or exhaustive");
       }
     } else if (std::strncmp(arg, "--heartbeat=", 12) == 0) {
       options.heartbeat_s = detail::ParseDoubleValue("--heartbeat", arg + 12);
@@ -193,9 +191,9 @@ inline BenchOptions ParseBenchOptions(int argc, char** argv,
           "  --pair=K     successive census pair index (default 2)\n"
           "  --threads=N  worker threads; 1 = serial (default), 0 = one per\n"
           "               hardware thread; results are identical either way\n"
-          "  --blocking=M candidate generation: hash (default), index\n"
-          "               (inverted candidate index; identical candidates,\n"
-          "               faster at scale) or exhaustive (cross product)\n"
+          "  --blocking=M candidate generation: index (default; the phonetic\n"
+          "               passes over the inverted candidate index) or\n"
+          "               exhaustive (cross product)\n"
           "  --scenario=NAME  generator calibration profile: a preset name\n"
           "               or a tglink.scenario/1 JSON file; --scale/--seed/\n"
           "               --pair still override its generator block.\n"
@@ -222,11 +220,8 @@ inline BenchOptions ParseBenchOptions(int argc, char** argv,
 
 /// The BlockingConfig selected by --blocking.
 inline BlockingConfig MakeBlockingConfig(const BenchOptions& options) {
-  if (options.blocking == "index") return BlockingConfig::MakeInvertedIndex();
-  if (options.blocking == "exhaustive") {
-    return BlockingConfig::MakeExhaustive();
-  }
-  return BlockingConfig::MakeDefault();
+  return options.blocking == "exhaustive" ? BlockingConfig::MakeExhaustive()
+                                          : BlockingConfig::MakeDefault();
 }
 
 /// Applies --blocking to a linkage configuration (pre-matching and residual

@@ -1,7 +1,8 @@
 // Blocking-strategy study (beyond the paper, which compares R_i × R_{i+1}
 // exhaustively): pair completeness (share of true matches kept), reduction
 // ratio (candidates avoided vs the cross product) and runtime for
-//   * multi-pass phonetic blocking (the library default),
+//   * multi-pass phonetic blocking (the library default), plain and with
+//     the candidate index's pruning and conjunctive knobs,
 //   * sorted-neighborhood with varying windows,
 //   * their union,
 //   * the exhaustive cross product (reference).
@@ -46,15 +47,9 @@ int main(int argc, char** argv) {
                                        ep.pair.new_dataset,
                                        BlockingConfig::MakeDefault());
        }},
-      {"inverted index (pruning off)", "index",
-       [&] {
-         return GenerateCandidatePairs(ep.pair.old_dataset,
-                                       ep.pair.new_dataset,
-                                       BlockingConfig::MakeInvertedIndex());
-       }},
       {"inverted index (cap 512 + SNM fallback)", "index_pruned",
        [&] {
-         BlockingConfig config = BlockingConfig::MakeInvertedIndex();
+         BlockingConfig config = BlockingConfig::MakeDefault();
          config.max_posting_len = 512;
          config.fallback_window = 8;
          return GenerateCandidatePairs(ep.pair.old_dataset,
@@ -62,7 +57,7 @@ int main(int argc, char** argv) {
        }},
       {"inverted index (>=2 shared keys)", "index_conj",
        [&] {
-         BlockingConfig config = BlockingConfig::MakeInvertedIndex();
+         BlockingConfig config = BlockingConfig::MakeDefault();
          config.min_shared_passes = 2;
          return GenerateCandidatePairs(ep.pair.old_dataset,
                                        ep.pair.new_dataset, config);

@@ -29,17 +29,4 @@ BlockKeyFn SoundexFirstNameSex() {
   };
 }
 
-BlockKeyFn SoundexSurname() {
-  return [](const PersonRecord& r) -> std::string {
-    return r.surname.empty() ? std::string() : Soundex(r.surname);
-  };
-}
-
-BlockKeyFn SurnamePrefix(size_t length) {
-  return [length](const PersonRecord& r) -> std::string {
-    if (r.surname.empty()) return "";
-    return r.surname.substr(0, length);
-  };
-}
-
 }  // namespace tglink

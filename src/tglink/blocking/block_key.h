@@ -6,7 +6,6 @@
 #define TGLINK_BLOCKING_BLOCK_KEY_H_
 
 #include <functional>
-#include <cstddef>
 #include <string>
 
 #include "tglink/census/record.h"
@@ -28,12 +27,6 @@ using BlockKeyFn = std::function<std::string(const PersonRecord&)>;
 /// married women (whose surname changed entirely between censuses) in a
 /// shared block with their earlier record.
 [[nodiscard]] BlockKeyFn SoundexFirstNameSex();
-
-/// Plain Soundex(surname) — coarser, larger blocks.
-[[nodiscard]] BlockKeyFn SoundexSurname();
-
-/// Surname prefix of the given length (exact characters).
-[[nodiscard]] BlockKeyFn SurnamePrefix(size_t length);
 
 }  // namespace tglink
 

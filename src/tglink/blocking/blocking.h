@@ -4,13 +4,15 @@
 // is ~10^9 similarity computations per iteration. Multi-pass blocking keeps
 // the semantics (the union of passes is a superset of every pair a sensible
 // δ would accept — verified empirically in tests/blocking_test.cc) while
-// reducing the candidate set by 3-4 orders of magnitude. kExhaustive mode
-// reproduces the paper's cross product exactly and is used on small inputs.
+// reducing the candidate set by 3-4 orders of magnitude. Every config is
+// served by one implementation, the inverted candidate index
+// (blocking/candidate_index.h). MakeExhaustive() reproduces the paper's
+// cross product exactly as a single pass with a constant key, and is used
+// on small inputs.
 
 #ifndef TGLINK_BLOCKING_BLOCKING_H_
 #define TGLINK_BLOCKING_BLOCKING_H_
 
-#include <cstdint>
 #include <cstddef>
 #include <vector>
 
@@ -22,47 +24,37 @@ namespace tglink {
 struct CandidatePair {
   RecordId old_id;
   RecordId new_id;
+
+  /// Lexicographic (old_id, new_id): the order every generator emits in.
+  friend bool operator<(const CandidatePair& a, const CandidatePair& b) {
+    return a.old_id != b.old_id ? a.old_id < b.old_id : a.new_id < b.new_id;
+  }
+  friend bool operator==(const CandidatePair& a, const CandidatePair& b) {
+    return a.old_id == b.old_id && a.new_id == b.new_id;
+  }
 };
 
 struct BlockingConfig {
-  /// kMultiPass: per-pass hash blocks, global pair sort + dedup.
-  /// kExhaustive: the paper's literal cross product.
-  /// kInvertedIndex: token -> posting-list index with per-old-record union
-  /// emission (see blocking/candidate_index.h) — same candidate set as
-  /// kMultiPass over the same passes (when pruning is off), much faster at
-  /// scale.
-  enum class Mode { kMultiPass, kExhaustive, kInvertedIndex };
-  Mode mode = Mode::kMultiPass;
-
-  /// Key functions for kMultiPass / kInvertedIndex; a pair is a candidate
-  /// if it shares a key in at least one pass. Default (set by MakeDefault)
-  /// is the three phonetic-name passes.
+  /// Key functions; a pair is a candidate if it shares a key in at least
+  /// one pass. MakeDefault sets the three phonetic-name passes.
   std::vector<BlockKeyFn> passes;
 
-  /// kMultiPass: blocks larger than this (old-side count + new-side count)
-  /// are skipped in a pass; 0 disables the cap. A safety valve against
-  /// degenerate keys.
-  size_t max_block_size = 0;
-
-  /// kInvertedIndex only: posting lists longer than this (both sides
-  /// summed) are pruned and their records routed to a sorted-neighborhood
-  /// fallback; 0 disables pruning (exact kMultiPass equivalence).
+  /// Keys whose records number more than this (old side + new side) are
+  /// pruned, and their records routed to a sorted-neighborhood fallback;
+  /// 0 disables pruning.
   size_t max_posting_len = 0;
 
-  /// kInvertedIndex only: window of the sorted-neighborhood fallback over
-  /// records that carried a pruned key; 0 disables the fallback.
+  /// Window of the sorted-neighborhood fallback over records that carried
+  /// a pruned key; 0 disables the fallback.
   size_t fallback_window = 8;
 
-  /// kInvertedIndex only: minimum number of distinct blocking keys a pair
-  /// must share (1 = plain union; >= 2 = conjunctive galloping-intersect
-  /// refinement, a precision knob).
+  /// Minimum number of distinct blocking keys a pair must share (1 = plain
+  /// union; >= 2 = conjunctive galloping-intersect refinement, a precision
+  /// knob).
   size_t min_shared_passes = 1;
 
   static BlockingConfig MakeDefault();
   static BlockingConfig MakeExhaustive();
-  /// The default passes served from the inverted candidate index. Pruning
-  /// is off by default, so the candidate set is identical to MakeDefault().
-  static BlockingConfig MakeInvertedIndex();
 };
 
 /// Generates deduplicated candidate pairs, sorted by (old_id, new_id).

@@ -15,22 +15,6 @@
 
 namespace tglink {
 
-CandidateIndexConfig CandidateIndexConfig::MakeDefault() {
-  CandidateIndexConfig config;
-  config.passes = BlockingConfig::MakeDefault().passes;
-  return config;
-}
-
-CandidateIndexConfig CandidateIndexConfig::FromBlocking(
-    const BlockingConfig& blocking) {
-  CandidateIndexConfig config;
-  config.passes = blocking.passes;
-  config.max_posting_len = blocking.max_posting_len;
-  config.fallback_window = blocking.fallback_window;
-  config.min_shared_passes = blocking.min_shared_passes;
-  return config;
-}
-
 std::vector<RecordId> GallopingIntersect(const std::vector<RecordId>& a,
                                          const std::vector<RecordId>& b) {
   TGLINK_DCHECK(std::is_sorted(a.begin(), a.end()))
@@ -62,23 +46,9 @@ std::vector<RecordId> GallopingIntersect(const std::vector<RecordId>& a,
   return out;
 }
 
-std::vector<RecordId> UnionSortedPostings(
-    const std::vector<const std::vector<RecordId>*>& lists) {
-  std::vector<RecordId> out;
-  for (const std::vector<RecordId>* list : lists) {
-    TGLINK_DCHECK(list != nullptr) << "UnionSortedPostings: null list";
-    TGLINK_DCHECK(std::is_sorted(list->begin(), list->end()))
-        << "UnionSortedPostings: posting list not ascending";
-    out.insert(out.end(), list->begin(), list->end());
-  }
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
-}
-
 CandidateIndex::CandidateIndex(const CensusDataset& old_dataset,
                                const CensusDataset& new_dataset,
-                               CandidateIndexConfig config)
+                               BlockingConfig config)
     : config_(std::move(config)),
       old_dataset_(old_dataset),
       new_dataset_(new_dataset) {
@@ -90,8 +60,7 @@ CandidateIndex::CandidateIndex(const CensusDataset& old_dataset,
 
   std::vector<uint32_t> old_posting_len;  // per token, old-side list length
   // Token interning is per pass: a key string produced by two different
-  // passes is two distinct tokens, exactly as hash blocking treats each
-  // pass's block space independently.
+  // passes is two distinct tokens, so each pass keeps its own key space.
   for (const BlockKeyFn& pass : config_.passes) {
     std::unordered_map<std::string, uint32_t> intern;
     // Key computation dominates build cost (soundex + string assembly per
@@ -184,21 +153,22 @@ CandidateIndex::CandidateIndex(const CensusDataset& old_dataset,
   obs::ReportArenaBytes("candindex", index_bytes);
 }
 
-void CandidateIndex::AppendPairsForOldRecord(
-    RecordId old_id, std::vector<RecordId>* scratch,
-    std::vector<CandidatePair>* out) const {
+template <typename Emit>
+void CandidateIndex::ForEachCandidate(RecordId old_id,
+                                      std::vector<RecordId>* scratch,
+                                      Emit&& emit) const {
   const std::vector<uint32_t>& tokens = old_record_tokens_[old_id];
   if (tokens.empty()) return;
   const size_t min_shared = std::max<size_t>(1, config_.min_shared_passes);
   if (min_shared > 1 && tokens.size() < min_shared) return;
   if (min_shared == 1) {
     // The emission hot path. Posting lists are sorted, so the union is a
-    // k-pointer merge emitting straight into `out` — O(total postings),
+    // k-pointer merge emitting straight to `emit` — O(total postings),
     // no per-record sort, no scratch buffer. With the default three passes
     // k <= 3.
     constexpr size_t kMaxMergeLists = 8;
     if (tokens.size() == 1) {
-      for (RecordId n : new_postings_[tokens[0]]) out->push_back({old_id, n});
+      for (RecordId n : new_postings_[tokens[0]]) emit(n);
       return;
     }
     if (tokens.size() <= kMaxMergeLists) {
@@ -218,7 +188,7 @@ void CandidateIndex::AppendPairsForOldRecord(
           }
         }
         if (min_id == kDone) break;
-        out->push_back({old_id, min_id});
+        emit(min_id);
         for (size_t i = 0; i < k; ++i) {
           if (idx[i] < lists[i]->size() && (*lists[i])[idx[i]] == min_id) {
             ++idx[i];
@@ -255,23 +225,7 @@ void CandidateIndex::AppendPairsForOldRecord(
       scratch->resize(kept);
     }
   }
-  for (RecordId n : *scratch) out->push_back({old_id, n});
-}
-
-// Concurrency contract: shard builders share no mutable state — each
-// ParallelMap worker writes only its own result slot and reads the posting
-// lists, which are frozen after single-threaded construction. There is
-// deliberately no lock here; determinism comes from the ordered index
-// merge, statically checked by the lint's nondeterministic-iteration rule
-// (the interner map above is lookup-only, never iterated).
-std::vector<CandidatePair> CandidateIndex::ShardPairs(size_t begin,
-                                                      size_t end) const {
-  std::vector<CandidatePair> out;
-  std::vector<RecordId> scratch;
-  for (size_t r = begin; r < end; ++r) {
-    AppendPairsForOldRecord(static_cast<RecordId>(r), &scratch, &out);
-  }
-  return out;
+  for (RecordId n : *scratch) emit(n);
 }
 
 std::vector<CandidatePair> CandidateIndex::FallbackPairs() const {
@@ -279,133 +233,72 @@ std::vector<CandidatePair> CandidateIndex::FallbackPairs() const {
       (fallback_old_.empty() && fallback_new_.empty())) {
     return {};
   }
-  // Sorted-neighborhood over only the flagged records: both sides are
-  // sorted together by the conventional census roster key and every
-  // cross-snapshot pair within the window becomes a candidate. This is the
-  // recall net for pairs that lived exclusively in pruned blocks.
-  const BlockKeyFn key = SurnameFirstNameSortKey();
-  struct Entry {
-    std::string key;
-    RecordId id;
-    bool is_old;
-  };
-  std::vector<Entry> entries;
-  entries.reserve(fallback_old_.size() + fallback_new_.size());
-  for (RecordId r : fallback_old_) {
-    std::string k = key(old_dataset_.record(r));
-    if (!k.empty()) entries.push_back({std::move(k), r, true});
-  }
-  for (RecordId r : fallback_new_) {
-    std::string k = key(new_dataset_.record(r));
-    if (!k.empty()) entries.push_back({std::move(k), r, false});
-  }
-  std::sort(entries.begin(), entries.end(),
-            [](const Entry& a, const Entry& b) {
-              if (a.key != b.key) return a.key < b.key;
-              if (a.is_old != b.is_old) return a.is_old;
-              return a.id < b.id;
-            });
-  std::vector<uint64_t> pair_keys;
-  const size_t w = std::max<size_t>(2, config_.fallback_window);
-  for (size_t i = 0; i < entries.size(); ++i) {
-    for (size_t j = i + 1; j < entries.size() && j < i + w; ++j) {
-      if (entries[i].is_old == entries[j].is_old) continue;
-      const RecordId o = entries[i].is_old ? entries[i].id : entries[j].id;
-      const RecordId n = entries[i].is_old ? entries[j].id : entries[i].id;
-      pair_keys.push_back((static_cast<uint64_t>(o) << 32) | n);
-    }
-  }
-  std::sort(pair_keys.begin(), pair_keys.end());
-  pair_keys.erase(std::unique(pair_keys.begin(), pair_keys.end()),
-                  pair_keys.end());
-  std::vector<CandidatePair> pairs;
-  pairs.reserve(pair_keys.size());
-  for (uint64_t k : pair_keys) {
-    pairs.push_back({static_cast<RecordId>(k >> 32),
-                     static_cast<RecordId>(k & 0xFFFFFFFFu)});
-  }
-  return pairs;
+  // The recall net for pairs that lived exclusively in pruned blocks:
+  // sorted-neighborhood over only the flagged records.
+  SortedNeighborhoodConfig snm = SortedNeighborhoodConfig::MakeDefault();
+  snm.window = config_.fallback_window;
+  return SortedNeighborhoodPairs(old_dataset_, fallback_old_, new_dataset_,
+                                 fallback_new_, snm);
 }
 
 namespace {
 
-bool PairLess(const CandidatePair& a, const CandidatePair& b) {
-  return a.old_id != b.old_id ? a.old_id < b.old_id : a.new_id < b.new_id;
-}
-
-bool PairEqual(const CandidatePair& a, const CandidatePair& b) {
-  return a.old_id == b.old_id && a.new_id == b.new_id;
-}
+/// Old records per emission shard: the unit of pool work in GeneratePairs.
+constexpr size_t kShardRecords = 2048;
 
 }  // namespace
 
+// Concurrency contract: the posting lists are frozen after single-threaded
+// construction, and every pool task writes only its own slot of `offsets`
+// or its own shard's disjoint range of `pairs`. There is deliberately no
+// lock here; determinism comes from the fixed shard boundaries.
 std::vector<CandidatePair> CandidateIndex::GeneratePairs() const {
   TGLINK_TRACE_SPAN("candindex.emit");
   const size_t num_old = old_dataset_.num_records();
-  const size_t batch = std::max<size_t>(1, config_.batch_records);
-  const size_t num_shards = (num_old + batch - 1) / batch;
-  // Each shard emits an independent, already-sorted slice of the (old, new)
-  // pair space; ordered concatenation keeps the output bit-identical to the
-  // serial path for every thread count.
-  std::vector<std::vector<CandidatePair>> shards =
-      ParallelMap<std::vector<CandidatePair>>(
-          num_shards, "candindex.shard", [&](size_t s) {
-            return ShardPairs(s * batch, std::min(num_old, (s + 1) * batch));
-          });
+  const size_t num_shards = (num_old + kShardRecords - 1) / kShardRecords;
+  const auto shard_end = [num_old](size_t s) {
+    return std::min(num_old, (s + 1) * kShardRecords);
+  };
+  // Count, then fill. Each shard counts its pairs on the pool; the counts
+  // become offsets into one vector allocated here, on the calling thread;
+  // each shard then writes its already-sorted slice of the (old, new) pair
+  // space into its own range. No worker grows a vector of its own, so no
+  // pair storage is left behind in a worker's malloc arena.
+  std::vector<size_t> offsets =
+      ParallelMap<size_t>(num_shards, "candindex.count", [&](size_t s) {
+        std::vector<RecordId> scratch;
+        size_t count = 0;
+        for (size_t r = s * kShardRecords; r < shard_end(s); ++r) {
+          ForEachCandidate(static_cast<RecordId>(r), &scratch,
+                           [&count](RecordId) { ++count; });
+        }
+        return count;
+      });
   size_t total = 0;
-  for (const std::vector<CandidatePair>& shard : shards) {
-    total += shard.size();
+  for (size_t& offset : offsets) {
+    const size_t count = offset;
+    offset = total;
+    total += count;
   }
-  std::vector<CandidatePair> pairs;
-  pairs.reserve(total);
-  for (const std::vector<CandidatePair>& shard : shards) {
-    pairs.insert(pairs.end(), shard.begin(), shard.end());
-  }
+  std::vector<CandidatePair> pairs(total);
+  ParallelFor(num_shards, "candindex.fill", [&](size_t begin, size_t end) {
+    std::vector<RecordId> scratch;
+    for (size_t s = begin; s < end; ++s) {
+      CandidatePair* out = pairs.data() + offsets[s];
+      for (size_t r = s * kShardRecords; r < shard_end(s); ++r) {
+        const RecordId old_id = static_cast<RecordId>(r);
+        ForEachCandidate(old_id, &scratch, [&out, old_id](RecordId n) {
+          *out++ = {old_id, n};
+        });
+      }
+      TGLINK_DCHECK(out == pairs.data() +
+                               (s + 1 < num_shards ? offsets[s + 1] : total))
+          << "candidate shard " << s << " filled a different count";
+    }
+  });
   const std::vector<CandidatePair> fallback = FallbackPairs();
-  if (!fallback.empty()) {
-    std::vector<CandidatePair> merged;
-    merged.reserve(pairs.size() + fallback.size());
-    std::set_union(pairs.begin(), pairs.end(), fallback.begin(),
-                   fallback.end(), std::back_inserter(merged), PairLess);
-    merged.erase(std::unique(merged.begin(), merged.end(), PairEqual),
-                 merged.end());
-    pairs = std::move(merged);
-  }
-  TGLINK_COUNTER_ADD("candindex.pairs_emitted", pairs.size());
+  if (!fallback.empty()) pairs = UnionCandidatePairs(pairs, fallback);
   return pairs;
-}
-
-void CandidateIndex::EmitBatches(
-    const std::function<void(const std::vector<CandidatePair>&)>& sink) const {
-  TGLINK_TRACE_SPAN("candindex.emit");
-  const size_t num_old = old_dataset_.num_records();
-  const size_t batch = std::max<size_t>(1, config_.batch_records);
-  const std::vector<CandidatePair> fallback = FallbackPairs();
-  size_t fb_next = 0;  // next fallback pair not yet handed to the sink
-  size_t emitted = 0;
-  for (size_t begin = 0; begin < num_old; begin += batch) {
-    const size_t end = std::min(num_old, begin + batch);
-    std::vector<CandidatePair> shard = ShardPairs(begin, end);
-    // Fold in the fallback pairs that sort before this shard's upper bound
-    // (old_id < end), preserving global (old, new) order across batches.
-    const size_t fb_begin = fb_next;
-    while (fb_next < fallback.size() && fallback[fb_next].old_id < end) {
-      ++fb_next;
-    }
-    if (fb_next > fb_begin) {
-      std::vector<CandidatePair> merged;
-      merged.reserve(shard.size() + (fb_next - fb_begin));
-      std::set_union(shard.begin(), shard.end(), fallback.begin() + fb_begin,
-                     fallback.begin() + fb_next, std::back_inserter(merged),
-                     PairLess);
-      merged.erase(std::unique(merged.begin(), merged.end(), PairEqual),
-                   merged.end());
-      shard = std::move(merged);
-    }
-    emitted += shard.size();
-    if (!shard.empty()) sink(shard);
-  }
-  TGLINK_COUNTER_ADD("candindex.pairs_emitted", emitted);
 }
 
 }  // namespace tglink

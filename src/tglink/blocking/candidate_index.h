@@ -1,71 +1,38 @@
-// Inverted-index candidate generation (the scale path for Section 4.1
-// blocking): blocking-key tokens (phonetic name codes, prefix / q-gram
-// style keys from block_key.h) map to sorted posting lists of record ids,
-// one list per census side. Candidate pairs for an old record are the
-// multi-key union of the new-side posting lists of its tokens — emitted
-// per-record already sorted by (old_id, new_id), so the global
-// sort-and-unique pass that dominates hash blocking at scale disappears.
+// Inverted-index candidate generation — the one implementation behind
+// GenerateCandidatePairs: blocking-key tokens (phonetic name codes, or any
+// BlockKeyFn) map to sorted posting lists of record ids. Candidate pairs
+// for an old record are the multi-key union of the new-side posting lists
+// of its tokens — emitted per record already sorted by (old_id, new_id), so
+// no global sort-and-unique pass is needed.
 //
-// Differences from hash blocking (blocking.cc) that matter for scale:
 //   * tokens are interned once (string -> dense token id); pair emission
 //     walks integer posting lists only,
 //   * emission is sharded over old records and runs on the shared pool
-//     (util/parallel.h) with an ordered merge — deterministic for every
-//     thread count,
+//     (util/parallel.h): each shard counts its pairs, the counts are
+//     prefix-summed into offsets, and each shard then fills its own
+//     disjoint range of one output vector allocated on the calling thread —
+//     deterministic for every thread count,
 //   * pathological keys (posting list longer than `max_posting_len`) are
 //     pruned instead of exploding quadratically; records that carried a
 //     pruned key are routed through a sorted-neighborhood fallback window
 //     so true matches inside giant blocks are still reachable.
 //
-// Equivalence guarantee (verified by tests/candidate_index_property_test):
-// with pruning disabled and `min_shared_passes == 1`, GeneratePairs() emits
-// exactly the candidate-pair set of multi-pass hash blocking over the same
-// key functions. See DESIGN.md §9.
+// Equivalence guarantee (verified by tests/candidate_index_property_test
+// against the hash-blocking oracle in tests/reference_blocking.h): with
+// pruning disabled and `min_shared_passes == 1`, GeneratePairs() emits
+// exactly the pairs that share a key in at least one pass. See DESIGN.md §9.
 
 #ifndef TGLINK_BLOCKING_CANDIDATE_INDEX_H_
 #define TGLINK_BLOCKING_CANDIDATE_INDEX_H_
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
-#include "tglink/blocking/block_key.h"
 #include "tglink/blocking/blocking.h"
 #include "tglink/census/dataset.h"
 
 namespace tglink {
-
-struct CandidateIndexConfig {
-  /// Key functions; a token is (pass, key-string). Defaults to the same
-  /// three phonetic passes as BlockingConfig::MakeDefault().
-  std::vector<BlockKeyFn> passes;
-
-  /// Tokens whose total posting length (old side + new side) exceeds this
-  /// are pruned from pair emission; 0 disables pruning. Pruned keys route
-  /// their records into the sorted-neighborhood fallback below.
-  size_t max_posting_len = 0;
-
-  /// Window of the sorted-neighborhood fallback run over the records that
-  /// carried at least one pruned token (0 disables the fallback).
-  size_t fallback_window = 8;
-
-  /// Minimum number of distinct tokens a pair must share to be emitted.
-  /// 1 = plain multi-key union (the hash-blocking-equivalent default);
-  /// >= 2 = conjunctive refinement via sorted-list galloping intersection —
-  /// a precision knob benchmarked in bench/blocking_comparison.
-  size_t min_shared_passes = 1;
-
-  /// Old-record shard size for batched emission / parallel generation.
-  size_t batch_records = 2048;
-
-  static CandidateIndexConfig MakeDefault();
-
-  /// Mirrors the index-relevant fields of a BlockingConfig in
-  /// Mode::kInvertedIndex (passes, max_posting_len, fallback_window,
-  /// min_shared_passes).
-  static CandidateIndexConfig FromBlocking(const BlockingConfig& blocking);
-};
 
 /// Galloping (exponential-probe) intersection of two ascending id lists.
 /// O(min * log(max/min)) — the right shape when one posting list is much
@@ -73,31 +40,16 @@ struct CandidateIndexConfig {
 [[nodiscard]] std::vector<RecordId> GallopingIntersect(
     const std::vector<RecordId>& a, const std::vector<RecordId>& b);
 
-/// K-way union of ascending id lists, deduplicated, ascending.
-[[nodiscard]] std::vector<RecordId> UnionSortedPostings(
-    const std::vector<const std::vector<RecordId>*>& lists);
-
 class CandidateIndex {
  public:
   /// Builds the token table and posting lists for both snapshots. The
   /// datasets must outlive the index.
   CandidateIndex(const CensusDataset& old_dataset,
-                 const CensusDataset& new_dataset,
-                 CandidateIndexConfig config);
+                 const CensusDataset& new_dataset, BlockingConfig config);
 
   /// All candidate pairs — index pairs unioned with the fallback pairs —
-  /// deduplicated and sorted by (old_id, new_id). With pruning disabled
-  /// this equals hash blocking's output over the same passes.
+  /// deduplicated and sorted by (old_id, new_id).
   [[nodiscard]] std::vector<CandidatePair> GeneratePairs() const;
-
-  /// Batched emission: invokes `sink` with consecutive batches of the
-  /// exact GeneratePairs() stream (each batch non-empty, sorted; batch
-  /// boundaries fall on old-record shard edges of `batch_records`).
-  /// Serial and in order — the streaming API for consumers that do not
-  /// want the whole pair vector resident.
-  void EmitBatches(
-      const std::function<void(const std::vector<CandidatePair>&)>& sink)
-      const;
 
   /// Distinct (pass, key) tokens indexed.
   [[nodiscard]] size_t num_tokens() const { return token_count_; }
@@ -107,20 +59,16 @@ class CandidateIndex {
   [[nodiscard]] size_t num_pruned_tokens() const { return pruned_tokens_; }
 
  private:
-  /// Sorted new-side candidates for one old record (union or >=k-shared
-  /// filter over its tokens' posting lists).
-  void AppendPairsForOldRecord(RecordId old_id,
-                               std::vector<RecordId>* scratch,
-                               std::vector<CandidatePair>* out) const;
-
-  /// Pairs for an old-record shard [begin, end): sorted, deduplicated.
-  [[nodiscard]] std::vector<CandidatePair> ShardPairs(size_t begin,
-                                                      size_t end) const;
+  /// Calls `emit(new_id)` for each new-side candidate of one old record,
+  /// ascending (union or >=k-shared filter over its tokens' posting lists).
+  template <typename Emit>
+  void ForEachCandidate(RecordId old_id, std::vector<RecordId>* scratch,
+                        Emit&& emit) const;
 
   /// Sorted-neighborhood pairs over the records flagged during pruning.
   [[nodiscard]] std::vector<CandidatePair> FallbackPairs() const;
 
-  CandidateIndexConfig config_;
+  BlockingConfig config_;
   const CensusDataset& old_dataset_;
   const CensusDataset& new_dataset_;
 

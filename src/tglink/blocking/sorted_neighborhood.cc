@@ -1,10 +1,13 @@
 #include "tglink/blocking/sorted_neighborhood.h"
 
 #include <algorithm>
+#include <iterator>
+#include <numeric>
 #include <string>
 
 #include "tglink/obs/metrics.h"
 #include "tglink/obs/trace.h"
+#include "tglink/util/logging.h"
 
 namespace tglink {
 
@@ -22,21 +25,21 @@ SortedNeighborhoodConfig SortedNeighborhoodConfig::MakeDefault() {
 }
 
 std::vector<CandidatePair> SortedNeighborhoodPairs(
-    const CensusDataset& old_dataset, const CensusDataset& new_dataset,
+    const CensusDataset& old_dataset, const std::vector<RecordId>& old_ids,
+    const CensusDataset& new_dataset, const std::vector<RecordId>& new_ids,
     const SortedNeighborhoodConfig& config) {
-  TGLINK_TRACE_SPAN("blocking.sorted_neighborhood");
   struct Entry {
     std::string key;
     RecordId id;
     bool is_old;
   };
   std::vector<Entry> entries;
-  entries.reserve(old_dataset.num_records() + new_dataset.num_records());
-  for (RecordId r = 0; r < old_dataset.num_records(); ++r) {
+  entries.reserve(old_ids.size() + new_ids.size());
+  for (RecordId r : old_ids) {
     std::string key = config.key(old_dataset.record(r));
     if (!key.empty()) entries.push_back({std::move(key), r, true});
   }
-  for (RecordId r = 0; r < new_dataset.num_records(); ++r) {
+  for (RecordId r : new_ids) {
     std::string key = config.key(new_dataset.record(r));
     if (!key.empty()) entries.push_back({std::move(key), r, false});
   }
@@ -47,47 +50,46 @@ std::vector<CandidatePair> SortedNeighborhoodPairs(
               return a.id < b.id;
             });
 
-  std::vector<uint64_t> pair_keys;
+  std::vector<CandidatePair> pairs;
   const size_t w = std::max<size_t>(2, config.window);
   for (size_t i = 0; i < entries.size(); ++i) {
     for (size_t j = i + 1; j < entries.size() && j < i + w; ++j) {
       if (entries[i].is_old == entries[j].is_old) continue;
       const RecordId o = entries[i].is_old ? entries[i].id : entries[j].id;
       const RecordId n = entries[i].is_old ? entries[j].id : entries[i].id;
-      pair_keys.push_back((static_cast<uint64_t>(o) << 32) | n);
+      pairs.push_back({o, n});
     }
   }
-  std::sort(pair_keys.begin(), pair_keys.end());
-  pair_keys.erase(std::unique(pair_keys.begin(), pair_keys.end()),
-                  pair_keys.end());
-  std::vector<CandidatePair> pairs;
-  pairs.reserve(pair_keys.size());
-  for (uint64_t key : pair_keys) {
-    pairs.push_back({static_cast<RecordId>(key >> 32),
-                     static_cast<RecordId>(key & 0xFFFFFFFFu)});
-  }
+  std::sort(pairs.begin(), pairs.end());
+  pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
+  return pairs;
+}
+
+std::vector<CandidatePair> SortedNeighborhoodPairs(
+    const CensusDataset& old_dataset, const CensusDataset& new_dataset,
+    const SortedNeighborhoodConfig& config) {
+  TGLINK_TRACE_SPAN("blocking.sorted_neighborhood");
+  std::vector<RecordId> old_ids(old_dataset.num_records());
+  std::vector<RecordId> new_ids(new_dataset.num_records());
+  std::iota(old_ids.begin(), old_ids.end(), RecordId{0});
+  std::iota(new_ids.begin(), new_ids.end(), RecordId{0});
+  std::vector<CandidatePair> pairs = SortedNeighborhoodPairs(
+      old_dataset, old_ids, new_dataset, new_ids, config);
   TGLINK_COUNTER_ADD("blocking.snm_candidate_pairs", pairs.size());
   return pairs;
 }
 
 std::vector<CandidatePair> UnionCandidatePairs(
     const std::vector<CandidatePair>& a, const std::vector<CandidatePair>& b) {
-  std::vector<uint64_t> keys;
-  keys.reserve(a.size() + b.size());
-  for (const CandidatePair& p : a) {
-    keys.push_back((static_cast<uint64_t>(p.old_id) << 32) | p.new_id);
-  }
-  for (const CandidatePair& p : b) {
-    keys.push_back((static_cast<uint64_t>(p.old_id) << 32) | p.new_id);
-  }
-  std::sort(keys.begin(), keys.end());
-  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+  TGLINK_DCHECK(std::is_sorted(a.begin(), a.end()))
+      << "UnionCandidatePairs: left input not sorted";
+  TGLINK_DCHECK(std::is_sorted(b.begin(), b.end()))
+      << "UnionCandidatePairs: right input not sorted";
   std::vector<CandidatePair> out;
-  out.reserve(keys.size());
-  for (uint64_t key : keys) {
-    out.push_back({static_cast<RecordId>(key >> 32),
-                   static_cast<RecordId>(key & 0xFFFFFFFFu)});
-  }
+  out.reserve(a.size() + b.size());
+  std::set_union(a.begin(), a.end(), b.begin(), b.end(),
+                 std::back_inserter(out));
+  out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;
 }
 

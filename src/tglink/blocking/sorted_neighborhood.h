@@ -3,7 +3,8 @@
 // cross-snapshot pair within a sliding window becomes a candidate. An
 // alternative to standard blocking that bounds the per-record comparison
 // count and is robust to key-value skew (no giant blocks); combinable with
-// multi-pass blocking by unioning the candidate sets.
+// multi-pass blocking by unioning the candidate sets, and the recall net
+// behind the candidate index's key pruning.
 
 #ifndef TGLINK_BLOCKING_SORTED_NEIGHBORHOOD_H_
 #define TGLINK_BLOCKING_SORTED_NEIGHBORHOOD_H_
@@ -32,11 +33,19 @@ struct SortedNeighborhoodConfig {
     const CensusDataset& old_dataset, const CensusDataset& new_dataset,
     const SortedNeighborhoodConfig& config);
 
+/// The same over only the listed records of each snapshot — the candidate
+/// index's fallback over records that carried a pruned key.
+[[nodiscard]] std::vector<CandidatePair> SortedNeighborhoodPairs(
+    const CensusDataset& old_dataset, const std::vector<RecordId>& old_ids,
+    const CensusDataset& new_dataset, const std::vector<RecordId>& new_ids,
+    const SortedNeighborhoodConfig& config);
+
 /// Sorting key "surname first_name" — the conventional choice for census
 /// rosters.
 [[nodiscard]] BlockKeyFn SurnameFirstNameSortKey();
 
-/// Union of two candidate-pair sets (both must be sorted), deduplicated.
+/// Union of two candidate-pair sets (both sorted by (old_id, new_id)),
+/// deduplicated: one linear merge.
 [[nodiscard]] std::vector<CandidatePair> UnionCandidatePairs(
     const std::vector<CandidatePair>& a, const std::vector<CandidatePair>& b);
 

@@ -10,6 +10,7 @@
 #include "tglink/linkage/config.h"
 #include "tglink/synth/generator.h"
 #include "tests/paper_example.h"
+#include "tests/reference_blocking.h"
 
 namespace tglink {
 namespace {
@@ -31,7 +32,7 @@ TEST(BlockKeyTest, EmptyNameYieldsEmptyKey) {
                                                Role::kHead, "", "");
   EXPECT_EQ(SoundexSurnameFirstInitial()(a), "");
   EXPECT_EQ(SoundexFirstNameSurnameInitial()(a), "");
-  EXPECT_EQ(SurnamePrefix(3)(a), "");
+  EXPECT_EQ(SoundexFirstNameSex()(a), "");
 }
 
 TEST(BlockingTest, ExhaustiveProducesCrossProduct) {
@@ -40,6 +41,35 @@ TEST(BlockingTest, ExhaustiveProducesCrossProduct) {
   const auto pairs = GenerateCandidatePairs(old_d, new_d,
                                             BlockingConfig::MakeExhaustive());
   EXPECT_EQ(pairs.size(), old_d.num_records() * new_d.num_records());
+  EXPECT_EQ(pairs, reference::CrossProductPairs(old_d, new_d));
+}
+
+// The exhaustive key is constant, so records no phonetic pass can key (no
+// names, unknown sex) still pair with everything.
+TEST(BlockingTest, ExhaustiveKeepsRecordsWithoutNames) {
+  CensusDataset old_d = MakeCensus1871();
+  old_d.AddHousehold("blank", {testing_example::MakeRecord(
+                                  "blank_1", "", "", Sex::kUnknown, 30,
+                                  Role::kHead, "", "")});
+  const CensusDataset new_d = MakeCensus1881();
+  EXPECT_EQ(GenerateCandidatePairs(old_d, new_d,
+                                   BlockingConfig::MakeExhaustive()),
+            reference::CrossProductPairs(old_d, new_d));
+  const RecordId blank = static_cast<RecordId>(old_d.num_records() - 1);
+  for (const CandidatePair& p : GenerateCandidatePairs(
+           old_d, new_d, BlockingConfig::MakeDefault())) {
+    EXPECT_NE(p.old_id, blank);
+  }
+}
+
+// The default passes emit exactly what multi-pass hash blocking over the
+// same keys emits (the full sweep is candidate_index_property_test).
+TEST(BlockingTest, DefaultMatchesHashBlockingOracle) {
+  const CensusDataset old_d = MakeCensus1871();
+  const CensusDataset new_d = MakeCensus1881();
+  const BlockingConfig config = BlockingConfig::MakeDefault();
+  EXPECT_EQ(GenerateCandidatePairs(old_d, new_d, config),
+            reference::HashBlockingPairs(old_d, new_d, config.passes));
 }
 
 TEST(BlockingTest, PairsAreSortedAndUnique) {
@@ -65,14 +95,6 @@ TEST(BlockingTest, DefaultBlockingKeepsSameNamePairs) {
   EXPECT_TRUE(set.count({0, 0}));
   // Alice Ashworth (2) vs Alice Smith (6): caught by the first-name pass.
   EXPECT_TRUE(set.count({2, 6}));
-}
-
-TEST(BlockingTest, MaxBlockSizeSkipsOversizedBlocks) {
-  const CensusDataset old_d = MakeCensus1871();
-  const CensusDataset new_d = MakeCensus1881();
-  BlockingConfig tiny = BlockingConfig::MakeDefault();
-  tiny.max_block_size = 1;  // everything is oversized
-  EXPECT_TRUE(GenerateCandidatePairs(old_d, new_d, tiny).empty());
 }
 
 // The load-bearing property: on realistic noisy data, multi-pass blocking

@@ -1,20 +1,21 @@
-// Differential verification of the inverted candidate index against the
-// multi-pass hash blocking it replaces (satellite of the candidate-index
-// tentpole; see DESIGN.md §9):
+// Differential verification of the inverted candidate index — the one
+// blocking implementation — against the textbook multi-pass hash blocking
+// oracle in tests/reference_blocking.h (see DESIGN.md §9):
 //
 //   * equivalence: with pruning disabled, GeneratePairs() emits EXACTLY the
-//     candidate-pair set of blocking.cc hash blocking, across >= 50 seeded
-//     synthetic datasets covering every corruption preset AND every
-//     scenario-registry profile (the adversarial regimes produce token
-//     distributions — duplicated records, dissolved households, mass
-//     renames — the friendly presets never do);
-//   * batching: the concatenation of EmitBatches() batches is the same
-//     stream GeneratePairs() returns;
-//   * pruning: a token is pruned under exactly the condition hash blocking
-//     skips an oversized block (old + new > cap), so at an equal cap the
-//     pruned index plus its sorted-neighborhood fallback emits a superset
-//     of the capped hash baseline — gold-pair recall is never worse, and
-//     the set stays below the uncapped candidate count.
+//     oracle's candidate-pair set, across >= 50 seeded synthetic datasets
+//     covering every corruption preset AND every scenario-registry profile
+//     (the adversarial regimes produce token distributions — duplicated
+//     records, dissolved households, mass renames — the friendly presets
+//     never do);
+//   * sharded emission: an input spanning several emission shards and
+//     ending in a partial one matches the oracle pair for pair, so every
+//     shard lands at its exact offset;
+//   * pruning: a token is pruned under exactly the condition the oracle
+//     skips an oversized block (old + new > cap), so with the fallback off
+//     the pruned index equals the capped oracle, and with it on emits a
+//     superset — gold-pair recall is never worse, and the set stays below
+//     the uncapped candidate count.
 //
 // Runs serially by default; TGLINK_TEST_THREADS=0 (a second ctest entry)
 // reruns everything on one worker per hardware thread — outputs must be
@@ -34,6 +35,7 @@
 #include "tglink/eval/gold.h"
 #include "tglink/util/parallel.h"
 #include "tests/proptest.h"
+#include "tests/reference_blocking.h"
 
 namespace tglink {
 namespace {
@@ -66,17 +68,6 @@ std::vector<proptest::NamedScenarioConfig> AllRegimes() {
   return regimes;
 }
 
-bool SamePairs(const std::vector<CandidatePair>& a,
-               const std::vector<CandidatePair>& b) {
-  if (a.size() != b.size()) return false;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (a[i].old_id != b[i].old_id || a[i].new_id != b[i].new_id) {
-      return false;
-    }
-  }
-  return true;
-}
-
 /// Share of resolved gold record links contained in the candidate set.
 double GoldRecall(const std::vector<CandidatePair>& candidates,
                   const ResolvedGold& gold) {
@@ -90,10 +81,10 @@ double GoldRecall(const std::vector<CandidatePair>& candidates,
   return static_cast<double>(found) / gold.record_links.size();
 }
 
-// Pruning-disabled index output == hash blocking output, exactly, for 60
+// Pruning-disabled index output == oracle output, exactly, for 60
 // datasets: every corruption regime — classic presets and scenario
 // profiles — x 5 seeds (regime coverage is deterministic, not sampled).
-TEST_F(CandidateIndexPropertyTest, ExactEquivalenceWithHashBlocking) {
+TEST_F(CandidateIndexPropertyTest, ExactEquivalenceWithHashBlockingOracle) {
   for (const proptest::NamedScenarioConfig& regime : AllRegimes()) {
     proptest::Runner runner("candidate_index.equivalence." + regime.name,
                             /*iterations=*/5);
@@ -104,14 +95,12 @@ TEST_F(CandidateIndexPropertyTest, ExactEquivalenceWithHashBlocking) {
       gen.num_censuses = 2;
       const SyntheticPair pair = GenerateCensusPair(gen, 0);
 
-      const BlockingConfig hash = BlockingConfig::MakeDefault();
-      const std::vector<CandidatePair> expected =
-          GenerateCandidatePairs(pair.old_dataset, pair.new_dataset, hash);
-
-      const std::vector<CandidatePair> actual = GenerateCandidatePairs(
-          pair.old_dataset, pair.new_dataset,
-          BlockingConfig::MakeInvertedIndex());
-      c.ExpectTrue(SamePairs(expected, actual),
+      const BlockingConfig config = BlockingConfig::MakeDefault();
+      const std::vector<CandidatePair> expected = reference::HashBlockingPairs(
+          pair.old_dataset, pair.new_dataset, config.passes);
+      const std::vector<CandidatePair> actual =
+          GenerateCandidatePairs(pair.old_dataset, pair.new_dataset, config);
+      c.ExpectTrue(expected == actual,
                    "index pairs != hash pairs (" + DescribePair(pair) +
                        ": hash " + std::to_string(expected.size()) +
                        ", index " + std::to_string(actual.size()) + ")");
@@ -121,37 +110,46 @@ TEST_F(CandidateIndexPropertyTest, ExactEquivalenceWithHashBlocking) {
   }
 }
 
-// EmitBatches is the same stream as GeneratePairs, batch-concatenated —
-// with and without pruning (the fallback merge must respect batch order).
-TEST_F(CandidateIndexPropertyTest, BatchedEmissionMatchesGeneratePairs) {
-  proptest::Runner runner("candidate_index.batching", /*iterations=*/15);
-  runner.Run([](proptest::Case& c) {
-    const SyntheticPair pair = proptest::RandomCensusPair(&c);
-    for (const size_t max_posting_len : {size_t{0}, size_t{48}}) {
-      CandidateIndexConfig config = CandidateIndexConfig::MakeDefault();
-      config.max_posting_len = max_posting_len;
-      // Odd shard sizes probe batch-boundary handling.
-      config.batch_records = 1 + c.rng().NextBounded(257);
-      const CandidateIndex index(pair.old_dataset, pair.new_dataset, config);
-      const std::vector<CandidatePair> whole = index.GeneratePairs();
-      std::vector<CandidatePair> streamed;
-      index.EmitBatches([&streamed](const std::vector<CandidatePair>& batch) {
-        streamed.insert(streamed.end(), batch.begin(), batch.end());
-      });
-      c.ExpectTrue(SamePairs(whole, streamed),
-                   "EmitBatches stream != GeneratePairs (max_posting_len=" +
-                       std::to_string(max_posting_len) + ", batch=" +
-                       std::to_string(config.batch_records) + ")");
+// Emission is sharded over old records (2048 per shard in
+// candidate_index.cc): every shard counts its pairs, the counts become
+// offsets, and every shard fills its own range of one vector. An input of
+// at least three shards that ends in a partial one must still match the
+// oracle pair for pair — an offset off by one shifts or drops a pair —
+// with and without pruning (fallback off, so the capped oracle is exact).
+TEST_F(CandidateIndexPropertyTest, MultiShardEmissionMatchesOracle) {
+  constexpr size_t kShardRecords = 2048;
+  for (const uint64_t seed : {uint64_t{11}, uint64_t{12}}) {
+    GeneratorConfig gen;
+    gen.seed = seed;
+    gen.scale = 0.3;
+    gen.num_censuses = 2;
+    const SyntheticPair pair = GenerateCensusPair(gen, 0);
+    const size_t num_old = pair.old_dataset.num_records();
+    ASSERT_GT(num_old, 2 * kShardRecords) << DescribePair(pair);
+    ASSERT_NE(num_old % kShardRecords, 0u) << DescribePair(pair);
+    for (const size_t cap : {size_t{0}, size_t{96}}) {
+      BlockingConfig config = BlockingConfig::MakeDefault();
+      config.max_posting_len = cap;
+      config.fallback_window = 0;
+      const std::vector<CandidatePair> expected = reference::HashBlockingPairs(
+          pair.old_dataset, pair.new_dataset, config.passes, cap);
+      const std::vector<CandidatePair> actual =
+          GenerateCandidatePairs(pair.old_dataset, pair.new_dataset, config);
+      ASSERT_FALSE(expected.empty());
+      EXPECT_EQ(expected.size(), actual.size())
+          << "seed " << seed << ", cap " << cap << ", " << DescribePair(pair);
+      EXPECT_TRUE(expected == actual)
+          << "seed " << seed << ", cap " << cap << ", " << DescribePair(pair);
     }
-  });
-  EXPECT_TRUE(runner.AllPassed()) << runner.Report();
+  }
 }
 
-// Frequency pruning + sorted-neighborhood fallback vs hash blocking at the
-// SAME oversize cap (the apples-to-apples baseline: both drop blocks with
-// old + new > cap): the index's candidate set is a superset — the fallback
-// only adds pairs back — so gold recall is never worse, for every
-// corruption regime (classic presets and scenario profiles alike).
+// Frequency pruning + sorted-neighborhood fallback vs the hash-blocking
+// oracle at the SAME oversize cap (the apples-to-apples baseline: both drop
+// blocks with old + new > cap): with the fallback off the two are equal;
+// with it on the index's candidate set is a superset — the fallback only
+// adds pairs back — so gold recall is never worse, for every corruption
+// regime (classic presets and scenario profiles alike).
 TEST_F(CandidateIndexPropertyTest, PrunedRecallNoWorseThanBaseline) {
   constexpr size_t kCap = 96;
   for (const proptest::NamedScenarioConfig& regime : AllRegimes()) {
@@ -167,13 +165,17 @@ TEST_F(CandidateIndexPropertyTest, PrunedRecallNoWorseThanBaseline) {
           ResolveGold(pair.gold, pair.old_dataset, pair.new_dataset);
       ASSERT_TRUE(resolved.ok()) << resolved.status().ToString();
 
-      BlockingConfig capped_hash = BlockingConfig::MakeDefault();
-      capped_hash.max_block_size = kCap;
-      const std::vector<CandidatePair> baseline = GenerateCandidatePairs(
-          pair.old_dataset, pair.new_dataset, capped_hash);
-
-      BlockingConfig pruned = BlockingConfig::MakeInvertedIndex();
+      BlockingConfig pruned = BlockingConfig::MakeDefault();
       pruned.max_posting_len = kCap;
+      const std::vector<CandidatePair> baseline = reference::HashBlockingPairs(
+          pair.old_dataset, pair.new_dataset, pruned.passes, kCap);
+
+      pruned.fallback_window = 0;
+      c.ExpectTrue(GenerateCandidatePairs(pair.old_dataset, pair.new_dataset,
+                                          pruned) == baseline,
+                   "pruned index without fallback != capped oracle (" +
+                       DescribePair(pair) + ")");
+
       pruned.fallback_window = 12;
       const std::vector<CandidatePair> candidates = GenerateCandidatePairs(
           pair.old_dataset, pair.new_dataset, pruned);
@@ -187,7 +189,7 @@ TEST_F(CandidateIndexPropertyTest, PrunedRecallNoWorseThanBaseline) {
         superset = superset && candidate_set.count({p.old_id, p.new_id}) > 0;
       }
       c.ExpectTrue(superset,
-                   "pruned index lost a capped-hash pair (" +
+                   "pruned index lost a capped-oracle pair (" +
                        DescribePair(pair) + ")");
 
       const double base_recall = GoldRecall(baseline, resolved.value());
@@ -199,8 +201,7 @@ TEST_F(CandidateIndexPropertyTest, PrunedRecallNoWorseThanBaseline) {
 
       // Pruning must still be a reduction relative to no cap at all.
       const std::vector<CandidatePair> uncapped = GenerateCandidatePairs(
-          pair.old_dataset, pair.new_dataset,
-          BlockingConfig::MakeInvertedIndex());
+          pair.old_dataset, pair.new_dataset, BlockingConfig::MakeDefault());
       c.ExpectTrue(candidates.size() <= uncapped.size(),
                    "pruning + fallback grew the candidate set: " +
                        std::to_string(candidates.size()) + " > " +
@@ -217,9 +218,8 @@ TEST_F(CandidateIndexPropertyTest, ConjunctiveModeIsSubsetOfUnion) {
   runner.Run([](proptest::Case& c) {
     const SyntheticPair pair = proptest::RandomCensusPair(&c);
     const std::vector<CandidatePair> unioned = GenerateCandidatePairs(
-        pair.old_dataset, pair.new_dataset,
-        BlockingConfig::MakeInvertedIndex());
-    BlockingConfig conj = BlockingConfig::MakeInvertedIndex();
+        pair.old_dataset, pair.new_dataset, BlockingConfig::MakeDefault());
+    BlockingConfig conj = BlockingConfig::MakeDefault();
     conj.min_shared_passes = 2;
     const std::vector<CandidatePair> intersected =
         GenerateCandidatePairs(pair.old_dataset, pair.new_dataset, conj);

@@ -1,8 +1,8 @@
-// Edge-case and invariant tests for the inverted candidate index: the list
-// primitives (galloping intersection, k-way union), empty posting lists,
+// Edge-case and invariant tests for the inverted candidate index: the
+// galloping-intersection primitive, empty posting lists,
 // single-record blocks, duplicate keys per record, the all-keys-pruned
 // regime, the sorted-neighborhood fallback window boundary, and the debug
-// DCHECK contracts on the primitives.
+// DCHECK contract on the primitive.
 
 #include "tglink/blocking/candidate_index.h"
 
@@ -73,28 +73,15 @@ TEST(GallopingIntersectTest, AgreesWithSetIntersectionOnRandomLists) {
   }
 }
 
-TEST(UnionSortedPostingsTest, DedupsAcrossLists) {
-  EXPECT_TRUE(UnionSortedPostings({}).empty());
-  const std::vector<RecordId> a = {1, 4, 7};
-  const std::vector<RecordId> empty;
-  const std::vector<RecordId> b = {2, 4, 9};
-  const std::vector<RecordId> expected = {1, 2, 4, 7, 9};
-  EXPECT_EQ(UnionSortedPostings({&a, &empty, &b}), expected);
-  EXPECT_EQ(UnionSortedPostings({&a, &a, &a}), a);
-}
-
 TEST(CandidateIndexTest, EmptyDatasetsProduceNoPairs) {
   const CensusDataset empty_old(1871);
   const CensusDataset empty_new(1881);
   const CensusDataset some = SingleRecordCensus(1881, {{"john", "ashworth"}});
-  const CandidateIndexConfig config = CandidateIndexConfig::MakeDefault();
+  const BlockingConfig config = BlockingConfig::MakeDefault();
   EXPECT_TRUE(
       CandidateIndex(empty_old, empty_new, config).GeneratePairs().empty());
   EXPECT_TRUE(CandidateIndex(empty_old, some, config).GeneratePairs().empty());
-  int batches = 0;
-  CandidateIndex(empty_old, some, config)
-      .EmitBatches([&batches](const std::vector<CandidatePair>&) { ++batches; });
-  EXPECT_EQ(batches, 0);
+  EXPECT_TRUE(CandidateIndex(some, empty_new, config).GeneratePairs().empty());
 }
 
 // Records whose names produce only empty blocking keys never enter any
@@ -104,7 +91,7 @@ TEST(CandidateIndexTest, EmptyKeysMeanEmptyPostingLists) {
   const CensusDataset new_d =
       SingleRecordCensus(1881, {{"", ""}, {"john", "ashworth"}});
   const CandidateIndex index(old_d, new_d,
-                             CandidateIndexConfig::MakeDefault());
+                             BlockingConfig::MakeDefault());
   EXPECT_EQ(index.num_tokens(), 3u);  // john ashworth's three passes only
   EXPECT_TRUE(index.GeneratePairs().empty());
 }
@@ -114,7 +101,7 @@ TEST(CandidateIndexTest, SingleRecordBlockEmitsExactlyOnePair) {
   const CensusDataset new_d = SingleRecordCensus(
       1881, {{"john", "ashworth"}, {"peter", "greenwood"}});
   const std::vector<CandidatePair> pairs =
-      CandidateIndex(old_d, new_d, CandidateIndexConfig::MakeDefault())
+      CandidateIndex(old_d, new_d, BlockingConfig::MakeDefault())
           .GeneratePairs();
   ASSERT_EQ(pairs.size(), 1u);
   EXPECT_EQ(pairs[0].old_id, 0u);
@@ -122,13 +109,13 @@ TEST(CandidateIndexTest, SingleRecordBlockEmitsExactlyOnePair) {
 }
 
 // A record whose first name equals its surname produces the same key string
-// from two passes; those are distinct tokens (per-pass key spaces, exactly
-// like hash blocking), and the pair is still emitted exactly once.
+// from two passes; those are distinct tokens (per-pass key spaces), and the
+// pair is still emitted exactly once.
 TEST(CandidateIndexTest, DuplicateKeysPerRecordEmitOnce) {
   const CensusDataset old_d = SingleRecordCensus(1871, {{"smith", "smith"}});
   const CensusDataset new_d = SingleRecordCensus(1881, {{"smith", "smith"}});
   const CandidateIndex index(old_d, new_d,
-                             CandidateIndexConfig::MakeDefault());
+                             BlockingConfig::MakeDefault());
   const std::vector<CandidatePair> pairs = index.GeneratePairs();
   ASSERT_EQ(pairs.size(), 1u);
   EXPECT_EQ(pairs[0].old_id, 0u);
@@ -140,7 +127,7 @@ TEST(CandidateIndexTest, DuplicateKeysPerRecordEmitOnce) {
 TEST(CandidateIndexTest, AllKeysPrunedWithoutFallbackEmitsNothing) {
   const CensusDataset old_d = testing_example::MakeCensus1871();
   const CensusDataset new_d = testing_example::MakeCensus1881();
-  CandidateIndexConfig config = CandidateIndexConfig::MakeDefault();
+  BlockingConfig config = BlockingConfig::MakeDefault();
   config.max_posting_len = 1;  // every shared token is oversized
   config.fallback_window = 0;  // and the recall net is off
   const CandidateIndex index(old_d, new_d, config);
@@ -153,7 +140,7 @@ TEST(CandidateIndexTest, AllKeysPrunedWithoutFallbackEmitsNothing) {
 TEST(CandidateIndexTest, AllKeysPrunedFallbackRecoversNamesakes) {
   const CensusDataset old_d = testing_example::MakeCensus1871();
   const CensusDataset new_d = testing_example::MakeCensus1881();
-  CandidateIndexConfig config = CandidateIndexConfig::MakeDefault();
+  BlockingConfig config = BlockingConfig::MakeDefault();
   config.max_posting_len = 1;
   config.fallback_window = 8;
   const std::vector<CandidatePair> pairs =
@@ -177,7 +164,7 @@ TEST(CandidateIndexTest, FallbackWindowBoundaryIsExclusive) {
   const CensusDataset old_d = SingleRecordCensus(1871, {{"x", "aaa"}});
   const CensusDataset new_d = SingleRecordCensus(
       1881, {{"x", "aab"}, {"x", "aac"}, {"x", "aad"}});
-  CandidateIndexConfig config;
+  BlockingConfig config;
   config.passes = {[](const PersonRecord&) { return std::string("k"); }};
   config.max_posting_len = 1;  // the constant token (length 4) is pruned
 
@@ -200,7 +187,7 @@ TEST(CandidateIndexTest, CountersReflectPaperExample) {
   const CensusDataset old_d = testing_example::MakeCensus1871();
   const CensusDataset new_d = testing_example::MakeCensus1881();
   const CandidateIndex index(old_d, new_d,
-                             CandidateIndexConfig::MakeDefault());
+                             BlockingConfig::MakeDefault());
   EXPECT_GT(index.num_tokens(), 0u);
   // Every record contributes one posting per pass (all names non-empty).
   EXPECT_EQ(index.num_postings(),
@@ -212,9 +199,6 @@ TEST(CandidateIndexDeathTest, PrimitivesRejectUnsortedInputInDebug) {
 #ifndef NDEBUG
   EXPECT_DEATH(GallopingIntersect({3, 1}, {1, 2}), "not ascending");
   EXPECT_DEATH(GallopingIntersect({1, 2}, {5, 4}), "not ascending");
-  const std::vector<RecordId> unsorted = {9, 1};
-  EXPECT_DEATH(UnionSortedPostings({&unsorted}), "not ascending");
-  EXPECT_DEATH(UnionSortedPostings({nullptr}), "null list");
 #else
   GTEST_SKIP() << "DCHECK contracts compile out under NDEBUG";
 #endif

@@ -288,11 +288,10 @@ TEST(MemProfIntegrationTest, LinkCensusPairReportsEveryProductionArena) {
                 for (size_t i = begin; i < end; ++i) sink[i] = static_cast<int>(i);
               });
 
-  LinkageConfig config = configs::DefaultConfig();
-  config.blocking = BlockingConfig::MakeInvertedIndex();
   const LinkageResult result =
       LinkCensusPair(testing_example::MakeCensus1871(),
-                     testing_example::MakeCensus1881(), config);
+                     testing_example::MakeCensus1881(),
+                     configs::DefaultConfig());
   EXPECT_FALSE(result.iterations.empty());
   SetParallelThreadCount(1);
 

@@ -1,6 +1,7 @@
 #include "tglink/blocking/sorted_neighborhood.h"
 
 #include <set>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -101,6 +102,32 @@ TEST(SortedNeighborhoodTest, UnionWithBlockingImprovesCompleteness) {
   EXPECT_GE(completeness(unioned), completeness(blocked));
 }
 
+// The record-list overload over every id is the whole-dataset pass; over a
+// subset it only ever pairs listed records.
+TEST(SortedNeighborhoodTest, RecordListsRestrictThePass) {
+  const CensusDataset old_d = MakeCensus1871();
+  const CensusDataset new_d = MakeCensus1881();
+  const SortedNeighborhoodConfig config =
+      SortedNeighborhoodConfig::MakeDefault();
+  std::vector<RecordId> all_old, all_new;
+  for (RecordId r = 0; r < old_d.num_records(); ++r) all_old.push_back(r);
+  for (RecordId r = 0; r < new_d.num_records(); ++r) all_new.push_back(r);
+  EXPECT_EQ(SortedNeighborhoodPairs(old_d, all_old, new_d, all_new, config),
+            SortedNeighborhoodPairs(old_d, new_d, config));
+
+  const std::vector<RecordId> some_old = {0, 2};
+  const std::vector<RecordId> some_new = {0, 6};
+  const auto pairs =
+      SortedNeighborhoodPairs(old_d, some_old, new_d, some_new, config);
+  ASSERT_FALSE(pairs.empty());
+  for (const CandidatePair& p : pairs) {
+    EXPECT_TRUE(p.old_id == 0 || p.old_id == 2);
+    EXPECT_TRUE(p.new_id == 0 || p.new_id == 6);
+  }
+  EXPECT_TRUE(
+      SortedNeighborhoodPairs(old_d, {}, new_d, some_new, config).empty());
+}
+
 TEST(UnionCandidatePairsTest, Deduplicates) {
   const std::vector<CandidatePair> a = {{0, 0}, {1, 2}};
   const std::vector<CandidatePair> b = {{1, 2}, {3, 4}};
@@ -109,6 +136,20 @@ TEST(UnionCandidatePairsTest, Deduplicates) {
   EXPECT_EQ(u[0].old_id, 0u);
   EXPECT_EQ(u[1].old_id, 1u);
   EXPECT_EQ(u[2].old_id, 3u);
+  EXPECT_EQ(UnionCandidatePairs(a, {}), a);
+  EXPECT_EQ(UnionCandidatePairs({}, b), b);
+  EXPECT_EQ(UnionCandidatePairs(a, a), a);
+}
+
+TEST(UnionCandidatePairsDeathTest, RejectsUnsortedInputInDebug) {
+#ifndef NDEBUG
+  const std::vector<CandidatePair> sorted = {{0, 1}, {2, 0}};
+  const std::vector<CandidatePair> unsorted = {{2, 0}, {0, 1}};
+  EXPECT_DEATH(UnionCandidatePairs(unsorted, sorted), "not sorted");
+  EXPECT_DEATH(UnionCandidatePairs(sorted, unsorted), "not sorted");
+#else
+  GTEST_SKIP() << "DCHECK contracts compile out under NDEBUG";
+#endif
 }
 
 }  // namespace

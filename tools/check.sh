@@ -153,8 +153,9 @@ if [ "$quick" -eq 0 ]; then
   done
   note ran "fuzz smoke"
 
-  # The multi-threaded surface — pool, sim-cache, obs, the kept-pair store
-  # and the pooled subgraph build — under TSan. Scoped to the thread-hammer
+  # The multi-threaded surface — pool, sim-cache, obs, the kept-pair store,
+  # the pooled subgraph build and the candidate index's shared output vector
+  # (pool workers fill disjoint ranges of it) — under TSan. Scoped to the thread-hammer
   # tests so the stage stays bounded; the full suite already runs under
   # release and asan above.
   stage "configure+build: tsan (threaded tests)"
@@ -162,18 +163,19 @@ if [ "$quick" -eq 0 ]; then
   cmake --build --preset tsan -j "$jobs" \
     --target obs_threads_test parallel_test parallel_determinism_test \
              thread_annotations_test tsan_hammer_test \
-             subgraph_candidates_property_test
+             subgraph_candidates_property_test candidate_index_property_test
   stage "ctest: tsan (threaded tests)"
-  ctest --preset tsan -R '^(obs_threads_test|parallel_test|parallel_determinism_test|thread_annotations_test|tsan_hammer_test|subgraph_candidates_property_test_mt)$'
+  ctest --preset tsan -R '^(obs_threads_test|parallel_test|parallel_determinism_test|thread_annotations_test|tsan_hammer_test|subgraph_candidates_property_test_mt|candidate_index_property_test_mt)$'
   note ran "tsan hammers"
 
   # Line-coverage floor over the blocking and similarity layers (gcov only —
   # no lcov on the reference machine). Every candidate the pipeline ever
   # scores comes out of src/tglink/blocking/, and every pair score out of
   # src/tglink/similarity/, so untested lines in either are a gate failure.
-  # The similarity suites link the test-only reference oracle
-  # (tests/reference_measures.cc, built as their dependency); it lies
-  # outside both --filter prefixes, so it never counts toward the floor.
+  # The similarity and blocking suites link the test-only reference oracles
+  # (tests/reference_measures.cc, tests/reference_blocking.cc, built as
+  # their dependencies); they lie outside both --filter prefixes, so they
+  # never count toward the floor.
   stage "configure+build: coverage (blocking + similarity suites)"
   cmake --preset coverage
   cmake --build --preset coverage -j "$jobs" \

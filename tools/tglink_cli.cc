@@ -23,14 +23,14 @@
 //   tglink_cli link --old FILE --old-year Y1 --new FILE --new-year Y2
 //              --out MAPPINGS [--delta-low F] [--alpha F] [--beta F]
 //              [--non-iterative] [--omega1] [--threads N]
-//              [--blocking hash|index|exhaustive] [--heartbeat S]
+//              [--blocking index|exhaustive] [--heartbeat S]
 //              [--report FILE] [--trace FILE]
 //       Runs iterative record and group linkage, writes the mappings CSV;
 //       --threads picks the worker count (1 = serial, 0 = hardware; the
 //       mappings are identical either way), --blocking selects candidate
-//       generation (index = inverted candidate index: the same candidate
-//       set as hash blocking, faster at scale), --report writes a
-//       RunReport JSON, --trace a Chrome trace.
+//       generation (index = the phonetic passes over the inverted
+//       candidate index, the default; exhaustive = the paper's cross
+//       product), --report writes a RunReport JSON, --trace a Chrome trace.
 //
 //   tglink_cli evaluate --old FILE --old-year Y1 --new FILE --new-year Y2
 //              --mappings FILE --gold FILE [--protocol full|verified]
@@ -294,14 +294,12 @@ int CmdStats(const Args& args) {
 
 LinkageConfig ConfigFromArgs(const Args& args) {
   LinkageConfig config = configs::DefaultConfig();
-  const std::string blocking = args.Get("blocking", "hash");
-  if (blocking == "index") {
-    config.blocking = BlockingConfig::MakeInvertedIndex();
-  } else if (blocking == "exhaustive") {
+  const std::string blocking = args.Get("blocking", "index");
+  if (blocking == "exhaustive") {
     config.blocking = BlockingConfig::MakeExhaustive();
-  } else if (blocking != "hash") {
+  } else if (blocking != "index") {
     std::fprintf(stderr,
-                 "bad value '%s' for --blocking (expected hash, index or "
+                 "bad value '%s' for --blocking (expected index or "
                  "exhaustive)\n",
                  blocking.c_str());
     std::exit(2);
