@@ -6,7 +6,7 @@
 #include <unordered_map>
 
 #include "tglink/linkage/prematching.h"
-#include "tglink/similarity/sim_cache.h"
+#include "tglink/similarity/sim_batch.h"
 #include "tglink/util/parallel.h"
 
 namespace tglink {
@@ -93,7 +93,7 @@ RecordMapping CollectiveLink(const CensusDataset& old_dataset,
   // what the exact serial loop kept, in the same order.
   const std::vector<CandidatePair> raw_candidates =
       GenerateCandidatePairs(old_dataset, new_dataset, config.blocking);
-  const SimCache sim_cache(sim_func, old_dataset, new_dataset);
+  const SimBatch sim_batch(sim_func, old_dataset, new_dataset);
   const std::vector<double> sims = ParallelMap<double>(
       raw_candidates.size(), "collective.score_chunk", [&](size_t i) {
         const CandidatePair& cand = raw_candidates[i];
@@ -103,7 +103,7 @@ RecordMapping CollectiveLink(const CensusDataset& old_dataset,
             std::abs(ro.age + year_gap - rn.age) > config.max_age_difference) {
           return -1.0;
         }
-        return sim_cache.AggregateWithThreshold(cand.old_id, cand.new_id,
+        return sim_batch.AggregateWithThreshold(cand.old_id, cand.new_id,
                                                 config.min_similarity);
       });
   std::unordered_map<uint64_t, double> attr_sim;

@@ -19,7 +19,7 @@ PreMatcher::PreMatcher(const CensusDataset& old_dataset,
                        const BlockingConfig& blocking, double min_threshold)
     : old_dataset_(old_dataset),
       new_dataset_(new_dataset),
-      sim_cache_(sim_func, old_dataset, new_dataset) {
+      sim_batch_(sim_func, old_dataset, new_dataset) {
   TGLINK_TRACE_SPAN("prematch.score_candidates");
   TGLINK_MEM_STAGE("prematch.score_candidates");
   const std::vector<CandidatePair> candidates =
@@ -27,14 +27,14 @@ PreMatcher::PreMatcher(const CensusDataset& old_dataset,
   // Score chunks in parallel; the per-candidate results come back in
   // candidate order, so the serial keep/merge below is bit-identical to
   // the single-threaded path. Passing min_threshold down lets the batched
-  // kernels reject provably-losing pairs in O(1); the SimCache::kPruned
+  // kernels reject provably-losing pairs in O(1); the SimBatch::kPruned
   // sentinel (-1) is below every admissible threshold, so the keep filter
   // needs no extra branch and the kept set equals the exact one.
   const std::vector<double> sims = ParallelMap<double>(
       candidates.size(), "prematch.score_chunk",
       [this, &candidates, min_threshold](size_t i) {
         const CandidatePair& cand = candidates[i];
-        return sim_cache_.AggregateWithThreshold(cand.old_id, cand.new_id,
+        return sim_batch_.AggregateWithThreshold(cand.old_id, cand.new_id,
                                                  min_threshold);
       });
   // Candidates arrive sorted by (old, new), so the kept pairs fill the CSR
@@ -100,7 +100,7 @@ double PreMatcher::PairSimilarity(RecordId old_id, RecordId new_id) const {
     return row_sim_[static_cast<size_t>(it - row_new_.begin())];
   }
   TGLINK_COUNTER_INC("simcache.prematch_miss");
-  return sim_cache_.Aggregate(old_id, new_id);
+  return sim_batch_.Aggregate(old_id, new_id);
 }
 
 Clustering PreMatcher::Cluster(double delta,

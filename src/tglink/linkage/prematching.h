@@ -8,9 +8,8 @@
 // scores each candidate pair exactly once — at the lowest threshold the
 // schedule will ever use — and each iteration's clustering is a cheap filter
 // over the cached scores. Scoring fans out over the shared thread pool
-// (util/parallel.h) with an ordered merge, and individual string-measure
-// results are memoized in a SimCache, so the output is bit-identical to a
-// serial, uncached run.
+// (util/parallel.h) through one SimBatch with an ordered merge, so the
+// output is bit-identical to a serial run.
 //
 // The kept pairs are held once, in a CSR layout over old records: row o
 // lists the new ids of o's kept pairs in ascending order, with a parallel
@@ -31,7 +30,7 @@
 #include "tglink/blocking/blocking.h"
 #include "tglink/census/dataset.h"
 #include "tglink/similarity/composite.h"
-#include "tglink/similarity/sim_cache.h"
+#include "tglink/similarity/sim_batch.h"
 
 namespace tglink {
 
@@ -95,7 +94,7 @@ class PreMatcher {
   /// agg_sim for any record pair: looked up in the kept-pair store for a
   /// kept pair (a blocking candidate at or above min_threshold), computed
   /// on demand otherwise (needed for transitively-clustered pairs). Misses
-  /// route through the similarity memo layer and are counted as
+  /// are rescored through the SimBatch and counted as
   /// "simcache.prematch_miss". Safe to call concurrently.
   double PairSimilarity(RecordId old_id, RecordId new_id) const;
 
@@ -115,7 +114,7 @@ class PreMatcher {
 
   const CensusDataset& old_dataset_;
   const CensusDataset& new_dataset_;
-  SimCache sim_cache_;
+  SimBatch sim_batch_;
   // CSR kept-pair store: old record o's kept pairs are
   // (o, row_new_[k]) with similarity row_sim_[k], for k in
   // [row_begin_[o], row_begin_[o + 1]), new ids ascending.

@@ -6,7 +6,7 @@
 #include "tglink/obs/memprof.h"
 #include "tglink/obs/metrics.h"
 #include "tglink/obs/trace.h"
-#include "tglink/similarity/sim_cache.h"
+#include "tglink/similarity/sim_batch.h"
 #include "tglink/util/parallel.h"
 
 namespace tglink {
@@ -27,10 +27,10 @@ std::vector<ScoredPair> GreedyOneToOneMatch(
     if (!active_old[cand.old_id] || !active_new[cand.new_id]) continue;
     candidates.push_back(cand);
   }
-  const SimCache sim_cache(sim_func, old_dataset, new_dataset);
+  const SimBatch sim_batch(sim_func, old_dataset, new_dataset);
   const std::vector<double> sims = ParallelMap<double>(
       candidates.size(), "residual.score_chunk", [&](size_t i) {
-        return sim_cache.AggregateWithThreshold(candidates[i].old_id,
+        return sim_batch.AggregateWithThreshold(candidates[i].old_id,
                                                 candidates[i].new_id,
                                                 sim_func.threshold());
       });

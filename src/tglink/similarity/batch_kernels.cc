@@ -323,8 +323,9 @@ void BuildPaddedGramProfile(std::string_view s, int q,
   // (q-1)*'$': one gram ends at each byte of s and at each trailing '$'.
   const size_t pad = static_cast<size_t>(q - 1);
   const uint32_t mask = q == 2 ? 0xFFFFu : 0xFFFFFFu;
+  // No reserve: `out` is often a whole table's concatenated profiles, and
+  // reserving exactly per value would reallocate it on every call.
   const size_t start = out->size();
-  out->reserve(start + s.size() + pad);
   uint32_t code = 0;
   for (size_t k = 0; k < pad; ++k) code = (code << 8) | '#';
   for (const char c : s) {

@@ -1,10 +1,7 @@
 #include "tglink/similarity/field_similarity.h"
 
-#include "tglink/similarity/alignment.h"
 #include "tglink/similarity/batch_kernels.h"
-#include "tglink/similarity/double_metaphone.h"
 #include "tglink/similarity/phonetic.h"
-#include "tglink/similarity/token.h"
 
 namespace tglink {
 
@@ -24,16 +21,8 @@ const char* MeasureName(Measure measure) {
       return "jaro";
     case Measure::kJaroWinkler:
       return "jaro-winkler";
-    case Measure::kMongeElkan:
-      return "monge-elkan";
     case Measure::kSoundexEqual:
       return "soundex";
-    case Measure::kDoubleMetaphone:
-      return "double-metaphone";
-    case Measure::kSmithWaterman:
-      return "smith-waterman";
-    case Measure::kLcsSubstring:
-      return "lcs";
   }
   return "?";
 }
@@ -59,16 +48,8 @@ double ComputeMeasure(Measure measure, std::string_view a, std::string_view b,
       return simkernel::JaroKernel(ra, rb, min_sim);
     case Measure::kJaroWinkler:
       return simkernel::JaroWinklerKernel(ra, rb, min_sim);
-    case Measure::kMongeElkan:
-      return MongeElkanJaroWinkler(a, b);
     case Measure::kSoundexEqual:
       return Soundex(a) == Soundex(b) ? 1.0 : 0.0;
-    case Measure::kDoubleMetaphone:
-      return DoubleMetaphoneSimilarity(a, b);
-    case Measure::kSmithWaterman:
-      return SmithWatermanSimilarity(a, b);
-    case Measure::kLcsSubstring:
-      return LcsSubstringSimilarity(a, b);
   }
   return 0.0;
 }

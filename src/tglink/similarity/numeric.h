@@ -1,15 +1,11 @@
-// Numeric similarities: absolute-difference decay for ages and birth years,
-// and the edge-property similarity over age differences used by subgraph
-// matching (Section 3.3 of the paper).
+// Numeric similarities: linear decay over age deviations, for the temporal
+// age component of a record pair and for the edge-property similarity over
+// age differences used by subgraph matching (Section 3.3 of the paper).
 
 #ifndef TGLINK_SIMILARITY_NUMERIC_H_
 #define TGLINK_SIMILARITY_NUMERIC_H_
 
 namespace tglink {
-
-/// Linear-decay similarity: 1 at equality, 0 at |a-b| >= max_diff.
-/// `max_diff` must be > 0.
-[[nodiscard]] double AbsDiffSimilarity(double a, double b, double max_diff);
 
 /// Similarity between two *age differences* (an edge property that is stable
 /// over time for a pair of persons). The paper accepts edges whose age

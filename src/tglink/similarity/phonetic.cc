@@ -1,10 +1,5 @@
 #include "tglink/similarity/phonetic.h"
 
-#include <algorithm>
-#include <cctype>
-
-#include "tglink/util/strings.h"
-
 namespace tglink {
 
 namespace {
@@ -51,10 +46,6 @@ std::string LettersOnlyLower(std::string_view s) {
   return out;
 }
 
-bool IsVowel(char c) {
-  return c == 'a' || c == 'e' || c == 'i' || c == 'o' || c == 'u';
-}
-
 }  // namespace
 
 std::string Soundex(std::string_view name) {
@@ -73,96 +64,6 @@ std::string Soundex(std::string_view name) {
   }
   while (code.size() < 4) code.push_back('0');
   return code;
-}
-
-std::string Nysiis(std::string_view name) {
-  std::string s = LettersOnlyLower(name);
-  if (s.empty()) return "";
-
-  // Leading transformations.
-  auto replace_prefix = [&s](std::string_view from, std::string_view to) {
-    if (StartsWith(s, from)) s = std::string(to) + s.substr(from.size());
-  };
-  replace_prefix("mac", "mcc");
-  replace_prefix("kn", "nn");
-  replace_prefix("k", "c");
-  replace_prefix("ph", "ff");
-  replace_prefix("pf", "ff");
-  replace_prefix("sch", "sss");
-
-  // Trailing transformations.
-  auto replace_suffix = [&s](std::string_view from, std::string_view to) {
-    if (s.size() >= from.size() &&
-        std::string_view(s).substr(s.size() - from.size()) == from) {
-      s = s.substr(0, s.size() - from.size()) + std::string(to);
-    }
-  };
-  replace_suffix("ee", "y");
-  replace_suffix("ie", "y");
-  replace_suffix("dt", "d");
-  replace_suffix("rt", "d");
-  replace_suffix("rd", "d");
-  replace_suffix("nt", "d");
-  replace_suffix("nd", "d");
-
-  std::string key;
-  key.push_back(s[0]);
-  std::string prev(1, s[0]);
-  size_t i = 1;
-  while (i < s.size()) {
-    std::string cur;
-    if (i + 1 < s.size() && s.compare(i, 2, "ev") == 0) {
-      cur = "af";
-      i += 2;
-    } else if (IsVowel(s[i])) {
-      cur = "a";
-      i += 1;
-    } else if (s[i] == 'q') {
-      cur = "g";
-      i += 1;
-    } else if (s[i] == 'z') {
-      cur = "s";
-      i += 1;
-    } else if (s[i] == 'm') {
-      cur = "n";
-      i += 1;
-    } else if (i + 1 < s.size() && s.compare(i, 2, "kn") == 0) {
-      cur = "n";
-      i += 2;
-    } else if (s[i] == 'k') {
-      cur = "c";
-      i += 1;
-    } else if (i + 2 < s.size() && s.compare(i, 3, "sch") == 0) {
-      cur = "sss";
-      i += 3;
-    } else if (i + 1 < s.size() && s.compare(i, 2, "ph") == 0) {
-      cur = "ff";
-      i += 2;
-    } else if (s[i] == 'h' &&
-               (!IsVowel(s[i - 1]) ||
-                (i + 1 < s.size() && !IsVowel(s[i + 1])))) {
-      cur = prev;
-      i += 1;
-    } else if (s[i] == 'w' && IsVowel(s[i - 1])) {
-      cur = prev;
-      i += 1;
-    } else {
-      cur = std::string(1, s[i]);
-      i += 1;
-    }
-    if (cur != prev) key += cur;
-    prev = cur;
-  }
-
-  // Trailing cleanup: drop final 's', map final "ay" -> "y", drop final 'a'.
-  if (key.size() > 1 && key.back() == 's') key.pop_back();
-  if (key.size() >= 2 && key.compare(key.size() - 2, 2, "ay") == 0) {
-    key = key.substr(0, key.size() - 2) + "y";
-  }
-  if (key.size() > 1 && key.back() == 'a') key.pop_back();
-
-  if (key.size() > 6) key = key.substr(0, 6);
-  return ToUpper(key);
 }
 
 }  // namespace tglink

@@ -1,5 +1,5 @@
-// Phonetic encodings used as blocking keys: two names that sound alike get
-// the same code even when spelled differently ("smith"/"smyth" -> S530),
+// Soundex, the phonetic code used as a blocking key and by the soundex
+// measure: two names that sound alike get the same code even when spelled differently ("smith"/"smyth" -> S530),
 // which is exactly the property blocking needs so that transcription noise
 // does not separate true matches into different blocks.
 
@@ -15,11 +15,6 @@ namespace tglink {
 /// Non-alphabetic characters are ignored; an empty / all-symbol input yields
 /// the empty string.
 [[nodiscard]] std::string Soundex(std::string_view name);
-
-/// NYSIIS (New York State Identification and Intelligence System) code,
-/// truncated to 6 characters as is conventional. More discriminating than
-/// Soundex for Anglo-Saxon surnames.
-[[nodiscard]] std::string Nysiis(std::string_view name);
 
 }  // namespace tglink
 

@@ -62,40 +62,7 @@ SimBatch::SimBatch(const SimilarityFunction& fn,
       plans_[i] = {Plan::kAge, -1};
       continue;
     }
-    Plan plan = Plan::kFallback;
-    switch (spec.measure) {
-      case Measure::kExact:
-        plan = Plan::kExactId;
-        break;
-      case Measure::kQGramDice:
-        plan = Plan::kGram2Dice;
-        break;
-      case Measure::kTrigramDice:
-        plan = Plan::kGram3Dice;
-        break;
-      case Measure::kLevenshtein:
-        plan = Plan::kLevenshtein;
-        break;
-      case Measure::kDamerau:
-        plan = Plan::kDamerau;
-        break;
-      case Measure::kJaro:
-        plan = Plan::kJaro;
-        break;
-      case Measure::kJaroWinkler:
-        plan = Plan::kJaroWinkler;
-        break;
-      case Measure::kSoundexEqual:
-        plan = Plan::kSoundex;
-        break;
-      case Measure::kMongeElkan:
-      case Measure::kDoubleMetaphone:
-      case Measure::kSmithWaterman:
-      case Measure::kLcsSubstring:
-        plan = Plan::kFallback;
-        break;
-    }
-    plans_[i] = {plan, BuildFieldTable(spec.field)};
+    plans_[i] = {KernelPlan(spec.measure), BuildFieldTable(spec.field)};
   }
   // Build the per-value signatures each table actually needs (a field can
   // be referenced by several specs with different measures).
@@ -149,6 +116,28 @@ SimBatch::SimBatch(const SimilarityFunction& fn,
   obs::ReportArenaBytes("simbatch", arena_bytes);
 }
 
+SimBatch::Plan SimBatch::KernelPlan(Measure measure) {
+  switch (measure) {
+    case Measure::kExact:
+      return Plan::kExactId;
+    case Measure::kQGramDice:
+      return Plan::kGram2Dice;
+    case Measure::kTrigramDice:
+      return Plan::kGram3Dice;
+    case Measure::kLevenshtein:
+      return Plan::kLevenshtein;
+    case Measure::kDamerau:
+      return Plan::kDamerau;
+    case Measure::kJaro:
+      return Plan::kJaro;
+    case Measure::kJaroWinkler:
+      return Plan::kJaroWinkler;
+    case Measure::kSoundexEqual:
+      return Plan::kSoundex;
+  }
+  return Plan::kExactId;
+}
+
 int SimBatch::BuildFieldTable(Field field) {
   int& index = field_table_[static_cast<size_t>(field)];
   if (index >= 0) return index;
@@ -186,8 +175,7 @@ size_t SimBatch::num_interned_values() const {
 
 double SimBatch::PresentValue(size_t spec_index, uint32_t va, uint32_t vb,
                               const PersonRecord& ra, const PersonRecord& rb,
-                              double kernel_min,
-                              const FallbackFn& fallback) const {
+                              double kernel_min) const {
   const SpecPlan& plan = plans_[spec_index];
   switch (plan.plan) {
     case Plan::kAge:
@@ -237,16 +225,16 @@ double SimBatch::PresentValue(size_t spec_index, uint32_t va, uint32_t vb,
       const FieldTable& t = tables_[plan.table];
       return simkernel::JaroWinklerKernel(t.Ref(va), t.Ref(vb), kernel_min);
     }
-    case Plan::kFallback: {
-      const FieldTable& t = tables_[plan.table];
-      return fallback(spec_index, va, vb, t.Ref(va).view(), t.Ref(vb).view());
-    }
   }
   return 0.0;
 }
 
-double SimBatch::Aggregate(RecordId old_id, RecordId new_id,
-                           const FallbackFn& fallback) const {
+double SimBatch::Aggregate(RecordId old_id, RecordId new_id) const {
+  TGLINK_COUNTER_INC("similarity.agg_calls");
+  return ExactAggregate(old_id, new_id);
+}
+
+double SimBatch::ExactAggregate(RecordId old_id, RecordId new_id) const {
   const PersonRecord& ra = old_dataset_.record(old_id);
   const PersonRecord& rb = new_dataset_.record(new_id);
   return fn_.AggregateWith([&](size_t i, bool* missing_one,
@@ -268,8 +256,7 @@ double SimBatch::Aggregate(RecordId old_id, RecordId new_id,
     *missing_both = ma && mb;
     *missing_one = (ma || mb) && !*missing_both;
     if (ma || mb) return 0.0;
-    const double s = PresentValue(i, va, vb, ra, rb, /*kernel_min=*/0.0,
-                                  fallback);
+    const double s = PresentValue(i, va, vb, ra, rb, /*kernel_min=*/0.0);
     TGLINK_DCHECK(s >= 0.0 && s <= 1.0)
         << "batched measure " << MeasureName(fn_.specs()[i].measure) << " on "
         << FieldName(fn_.specs()[i].field) << " returned " << s;
@@ -278,9 +265,9 @@ double SimBatch::Aggregate(RecordId old_id, RecordId new_id,
 }
 
 double SimBatch::AggregateWithThreshold(RecordId old_id, RecordId new_id,
-                                        double min_sim,
-                                        const FallbackFn& fallback) const {
-  if (min_sim <= 0.0) return Aggregate(old_id, new_id, fallback);
+                                        double min_sim) const {
+  TGLINK_COUNTER_INC("similarity.agg_calls");
+  if (min_sim <= 0.0) return ExactAggregate(old_id, new_id);
   TGLINK_COUNTER_INC("simkernel.screened");
   const PersonRecord& ra = old_dataset_.record(old_id);
   const PersonRecord& rb = new_dataset_.record(new_id);
@@ -351,7 +338,7 @@ double SimBatch::AggregateWithThreshold(RecordId old_id, RecordId new_id,
       case Plan::kSoundex:
         // O(1) exact values: use them as their own (tight) bound and skip
         // the kernel dispatch in phase 2.
-        st.value = PresentValue(i, st.va, st.vb, ra, rb, 0.0, fallback);
+        st.value = PresentValue(i, st.va, st.vb, ra, rb, 0.0);
         st.known = true;
         ub = st.value;
         len_ub = ub;
@@ -402,8 +389,6 @@ double SimBatch::AggregateWithThreshold(RecordId old_id, RecordId new_id,
         len_ub = ub;
         break;
       }
-      case Plan::kFallback:
-        break;  // no sound bound; ub stays 1
     }
     st.contrib_ub = spec.weight * ub;
     ub_sum += st.contrib_ub;
@@ -469,7 +454,7 @@ double SimBatch::AggregateWithThreshold(RecordId old_id, RecordId new_id,
       double kernel_min = 0.0;
       const double needed = cutoff - exact_sum - scratch.rem_after[i];
       if (needed > 0.0 && spec.weight > 0.0) kernel_min = needed / spec.weight;
-      s = PresentValue(i, st.va, st.vb, ra, rb, kernel_min, fallback);
+      s = PresentValue(i, st.va, st.vb, ra, rb, kernel_min);
       if (s == simkernel::kBelowMinSim) {
         pruned = true;  // the kernel already counted the bound type
         return 0.0;

@@ -1,14 +1,14 @@
-// SimBatch — the batched similarity substrate behind SimCache.
+// SimBatch — the one way the library scores record pairs in bulk.
 //
 // Per field referenced by a SimilarityFunction, SimBatch interns the values
 // of both snapshots into a contiguous arena (offset+length StringRef views,
-// cached lengths and first chars, precomputed padded q-gram profiles and
-// packed Soundex signatures), then evaluates whole-pair aggregate
-// similarities by dispatching each component to an allocation-free kernel
-// (batch_kernels.h) that reads those flat tables. The kernels are the same
-// ones ComputeMeasure runs on plain strings, and aggregation runs through
-// SimilarityFunction::AggregateWith, so Aggregate(o, n) is bit-identical
-// to fn.AggregateSimilarity(old.record(o), new.record(n)).
+// precomputed padded q-gram profiles and packed Soundex signatures), then
+// evaluates whole-pair aggregate similarities by dispatching each component
+// to an allocation-free kernel (batch_kernels.h) that reads those flat
+// tables. The kernels are the same ones ComputeMeasure runs on plain
+// strings, and aggregation runs through SimilarityFunction::AggregateWith,
+// so Aggregate(o, n) is bit-identical to
+// fn.AggregateSimilarity(old.record(o), new.record(n)).
 //
 // Threshold-aware pruning (AggregateWithThreshold): before any kernel runs,
 // an O(1) per-pair screen combines the per-component upper bounds (length
@@ -25,9 +25,9 @@
 // (the property tests pin this), so callers that keep pairs with
 // sim >= min_sim see exactly the unpruned keep-set.
 //
-// Measures without a batched kernel (Monge-Elkan, double-metaphone,
-// Smith-Waterman, LCS) are delegated to a caller-supplied fallback — in
-// practice SimCache's memo — and never prune.
+// Every Aggregate and AggregateWithThreshold call counts once towards
+// "similarity.agg_calls", as AggregateSimilarity does; each field table
+// adds its distinct values to "simcache.interned_values".
 //
 // Thread safety: construction is single-threaded; Aggregate and
 // AggregateWithThreshold are lock-free over immutable tables (plus
@@ -37,7 +37,6 @@
 #define TGLINK_SIMILARITY_SIM_BATCH_H_
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -53,14 +52,6 @@ class SimBatch {
   /// real aggregates are in [0, 1].
   static constexpr double kPruned = simkernel::kBelowMinSim;
 
-  /// Exact component value for specs without a batched kernel; receives the
-  /// spec index, the interned value ids (stable for the lifetime of the
-  /// batch) and the two value strings. Must be a pure function of the two
-  /// strings, bit-identical to ComputeMeasure.
-  using FallbackFn = std::function<double(
-      size_t spec_index, uint32_t old_vid, uint32_t new_vid,
-      std::string_view a, std::string_view b)>;
-
   /// Interns every string field referenced by `fn` over both datasets and
   /// precomputes the per-value signatures the kernels need. All arguments
   /// must outlive the batch.
@@ -72,22 +63,13 @@ class SimBatch {
 
   /// Exact aggregate; bit-identical to
   /// fn.AggregateSimilarity(old.record(o), new.record(n)).
-  [[nodiscard]] double Aggregate(RecordId old_id, RecordId new_id,
-                                 const FallbackFn& fallback) const;
+  [[nodiscard]] double Aggregate(RecordId old_id, RecordId new_id) const;
 
   /// Exact aggregate, or kPruned when the bounds prove it is < min_sim.
   /// min_sim <= 0 disables pruning (identical to Aggregate).
   [[nodiscard]] double AggregateWithThreshold(RecordId old_id,
-                                              RecordId new_id, double min_sim,
-                                              const FallbackFn& fallback) const;
-
-  [[nodiscard]] const SimilarityFunction& fn() const { return fn_; }
-
-  /// True when specs()[i] has no kernel and is scored through the
-  /// fallback (Monge-Elkan, double-metaphone, Smith-Waterman, LCS).
-  [[nodiscard]] bool UsesFallback(size_t spec_index) const {
-    return plans_[spec_index].plan == Plan::kFallback;
-  }
+                                              RecordId new_id,
+                                              double min_sim) const;
 
   /// Total distinct values interned across all field tables.
   [[nodiscard]] size_t num_interned_values() const;
@@ -104,11 +86,10 @@ class SimBatch {
     kJaro,
     kJaroWinkler,
     kSoundex,    // packed precomputed Soundex codes
-    kFallback,   // no batched kernel: caller-supplied (memoized) measure
   };
 
   struct SpecPlan {
-    Plan plan = Plan::kFallback;
+    Plan plan = Plan::kAge;
     int table = -1;  // index into tables_; -1 for age components
   };
 
@@ -139,14 +120,20 @@ class SimBatch {
     }
   };
 
+  /// The kernel plan of a non-age component scored with `measure`.
+  static Plan KernelPlan(Measure measure);
+
   int BuildFieldTable(Field field);
+
+  /// Aggregate without counting the call.
+  [[nodiscard]] double ExactAggregate(RecordId old_id, RecordId new_id) const;
 
   /// Value of present (both-non-missing) component i; kernel_min > 0 may
   /// yield simkernel::kBelowMinSim.
   [[nodiscard]] double PresentValue(size_t spec_index, uint32_t va,
                                     uint32_t vb, const PersonRecord& ra,
-                                    const PersonRecord& rb, double kernel_min,
-                                    const FallbackFn& fallback) const;
+                                    const PersonRecord& rb,
+                                    double kernel_min) const;
 
   const SimilarityFunction& fn_;
   const CensusDataset& old_dataset_;

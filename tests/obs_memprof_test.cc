@@ -18,6 +18,8 @@
 
 #include "tglink/linkage/config.h"
 #include "tglink/linkage/iterative.h"
+#include "tglink/similarity/sim_batch.h"
+#include "tglink/synth/generator.h"
 #include "tglink/util/parallel.h"
 #include "tests/paper_example.h"
 
@@ -296,7 +298,7 @@ TEST(MemProfIntegrationTest, LinkCensusPairReportsEveryProductionArena) {
   SetParallelThreadCount(1);
 
   const MemorySnapshot snapshot = SnapshotMemory();
-  for (const char* name : {"simbatch", "candindex", "simcache", "pool"}) {
+  for (const char* name : {"simbatch", "candindex", "pool"}) {
     const ArenaStats* arena = Arena(snapshot, name);
     ASSERT_NE(arena, nullptr) << "arena " << name << " never reported";
     EXPECT_GT(arena->bytes_total, 0u) << "arena " << name << " reported zero";
@@ -307,6 +309,35 @@ TEST(MemProfIntegrationTest, LinkCensusPairReportsEveryProductionArena) {
   ASSERT_NE(link, nullptr);
   EXPECT_GE(link->count, 1u);
   EXPECT_GT(link->peak_rss_kb, 0u);
+}
+
+TEST(MemProfIntegrationTest, SimBatchBuildAllocatesLinearlyInItsArena) {
+  // Building a SimBatch appends every value's gram profile to one shared
+  // per-field vector. Growing that vector by exactly one value's grams at
+  // a time copies it on every value — quadratic in the distinct values —
+  // so the bytes the build allocates must stay within a small constant
+  // multiple of the arena it keeps.
+  if (!MemProfHooksCompiledIn()) {
+    GTEST_SKIP() << "allocator hooks compiled out in this build";
+  }
+  GeneratorConfig gen;
+  gen.num_censuses = 2;
+  gen.scale = 0.1;
+  const SyntheticPair pair = GenerateCensusPair(gen, 0);
+  SimilarityFunction fn = configs::DefaultConfig().sim_func;
+  fn.set_year_gap(pair.new_dataset.year() - pair.old_dataset.year());
+
+  MemProfTestScope scope;
+  { const SimBatch batch(fn, pair.old_dataset, pair.new_dataset); }
+  const MemorySnapshot snapshot = SnapshotMemory();
+  const StageStats* build = Stage(snapshot, "simkernel.build_batch");
+  const ArenaStats* arena = Arena(snapshot, "simbatch");
+  ASSERT_NE(build, nullptr);
+  ASSERT_NE(arena, nullptr);
+  ASSERT_GT(arena->bytes_total, 0u);
+  EXPECT_LE(build->bytes_allocated, 16 * arena->bytes_total)
+      << "build allocated " << build->bytes_allocated << " bytes for a "
+      << arena->bytes_total << "-byte arena";
 }
 
 }  // namespace

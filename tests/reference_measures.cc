@@ -3,11 +3,8 @@
 #include <algorithm>
 #include <numeric>
 
-#include "tglink/similarity/alignment.h"
-#include "tglink/similarity/double_metaphone.h"
 #include "tglink/similarity/numeric.h"
 #include "tglink/similarity/phonetic.h"
-#include "tglink/similarity/token.h"
 
 namespace tglink {
 namespace reference {
@@ -152,12 +149,6 @@ double JaroWinklerSimilarity(std::string_view a, std::string_view b) {
   return jaro + static_cast<double>(prefix) * kPrefixScale * (1.0 - jaro);
 }
 
-double MongeElkanJaroWinkler(std::string_view a, std::string_view b) {
-  return MongeElkanSimilarity(a, b, [](std::string_view x, std::string_view y) {
-    return JaroWinklerSimilarity(x, y);
-  });
-}
-
 double MeasureValue(Measure measure, std::string_view a, std::string_view b) {
   if (a.empty() && b.empty()) return 1.0;
   if (a.empty() || b.empty()) return 0.0;
@@ -176,16 +167,8 @@ double MeasureValue(Measure measure, std::string_view a, std::string_view b) {
       return JaroSimilarity(a, b);
     case Measure::kJaroWinkler:
       return JaroWinklerSimilarity(a, b);
-    case Measure::kMongeElkan:
-      return MongeElkanJaroWinkler(a, b);
     case Measure::kSoundexEqual:
       return Soundex(a) == Soundex(b) ? 1.0 : 0.0;
-    case Measure::kDoubleMetaphone:
-      return DoubleMetaphoneSimilarity(a, b);
-    case Measure::kSmithWaterman:
-      return SmithWatermanSimilarity(a, b);
-    case Measure::kLcsSubstring:
-      return LcsSubstringSimilarity(a, b);
   }
   return 0.0;
 }

@@ -48,13 +48,8 @@ namespace reference {
 [[nodiscard]] double JaroWinklerSimilarity(std::string_view a,
                                            std::string_view b);
 
-/// Monge-Elkan over whitespace tokens with the reference Jaro-Winkler inner.
-[[nodiscard]] double MongeElkanJaroWinkler(std::string_view a,
-                                           std::string_view b);
-
 /// ComputeMeasure's contract, evaluated by the reference implementations.
-/// Measures that have one implementation only (Soundex coding,
-/// double-metaphone, Smith-Waterman, LCS) use the library's.
+/// Soundex coding has one implementation only and uses the library's.
 [[nodiscard]] double MeasureValue(Measure measure, std::string_view a,
                                   std::string_view b);
 

@@ -10,7 +10,7 @@
 //   * pruning soundness: with any min_sim, ComputeMeasure either returns
 //     the exact reference value or the kBelowMinSim sentinel, and the
 //     sentinel is only ever returned when the true similarity is < min_sim;
-//   * aggregate identity: SimCache reproduces the reference aggregate
+//   * aggregate identity: SimBatch reproduces the reference aggregate
 //     (SimilarityFunction::AggregateWith over the oracle measures)
 //     bit-for-bit on full synthetic census pairs from every corruption
 //     preset, and AggregateWithThreshold keeps exactly the exact keep-set.
@@ -30,7 +30,6 @@
 #include "tglink/blocking/blocking.h"
 #include "tglink/linkage/config.h"
 #include "tglink/similarity/sim_batch.h"
-#include "tglink/similarity/sim_cache.h"
 #include "tglink/util/parallel.h"
 #include "tests/proptest.h"
 #include "tests/reference_measures.h"
@@ -150,7 +149,7 @@ TEST_F(SimilarityKernelPropertyTest, PruningIsSoundAtEveryCutoff) {
 }
 
 // Full-pipeline identity on synthetic censuses: every corruption preset x
-// 10 seeds (preset coverage is deterministic, not sampled). SimCache must
+// 10 seeds (preset coverage is deterministic, not sampled). SimBatch must
 // reproduce the reference aggregate bit-for-bit, and the threshold path
 // must keep exactly the exact keep-set.
 TEST_F(SimilarityKernelPropertyTest, AggregateIdentityAcrossPresets) {
@@ -169,7 +168,7 @@ TEST_F(SimilarityKernelPropertyTest, AggregateIdentityAcrossPresets) {
       const std::vector<CandidatePair> candidates = GenerateCandidatePairs(
           pair.old_dataset, pair.new_dataset, BlockingConfig::MakeDefault());
 
-      const SimCache cache(fn, pair.old_dataset, pair.new_dataset);
+      const SimBatch batch(fn, pair.old_dataset, pair.new_dataset);
       const double min_sim = 0.5 + 0.4 * (c.rng().NextBounded(5) / 5.0);
 
       const std::vector<double> reference_sims = ParallelMap<double>(
@@ -178,23 +177,23 @@ TEST_F(SimilarityKernelPropertyTest, AggregateIdentityAcrossPresets) {
                 fn, pair.old_dataset.record(candidates[i].old_id),
                 pair.new_dataset.record(candidates[i].new_id));
           });
-      const std::vector<double> cache_sims = ParallelMap<double>(
-          candidates.size(), "proptest.cache_chunk", [&](size_t i) {
-            return cache.Aggregate(candidates[i].old_id,
+      const std::vector<double> batch_sims = ParallelMap<double>(
+          candidates.size(), "proptest.batch_chunk", [&](size_t i) {
+            return batch.Aggregate(candidates[i].old_id,
                                    candidates[i].new_id);
           });
       const std::vector<double> pruned_sims = ParallelMap<double>(
           candidates.size(), "proptest.pruned_chunk", [&](size_t i) {
-            return cache.AggregateWithThreshold(candidates[i].old_id,
+            return batch.AggregateWithThreshold(candidates[i].old_id,
                                                 candidates[i].new_id,
                                                 min_sim);
           });
       for (size_t i = 0; i < candidates.size(); ++i) {
-        c.ExpectTrue(cache_sims[i] == reference_sims[i],
-                     "pair " + std::to_string(i) + ": cache " +
-                         std::to_string(cache_sims[i]) + " != reference " +
+        c.ExpectTrue(batch_sims[i] == reference_sims[i],
+                     "pair " + std::to_string(i) + ": batch " +
+                         std::to_string(batch_sims[i]) + " != reference " +
                          std::to_string(reference_sims[i]));
-        if (pruned_sims[i] == SimCache::kPruned) {
+        if (pruned_sims[i] == SimBatch::kPruned) {
           c.ExpectTrue(reference_sims[i] < min_sim,
                        "pair " + std::to_string(i) +
                            " pruned at min_sim " + std::to_string(min_sim) +
@@ -216,10 +215,9 @@ TEST_F(SimilarityKernelPropertyTest, AggregateIdentityAcrossPresets) {
 }
 
 /// A composite function touching every SimBatch plan: both Dice gram sizes,
-/// the full edit/Jaro family, Soundex, exact sex, the temporal age
-/// component, and a fallback measure (Monge-Elkan) that SimCache must route
-/// through its memo. Several specs share a field so
-/// the per-field table reuse is exercised too.
+/// the full edit/Jaro family, Soundex, exact sex and the temporal age
+/// component. Several specs share a field so the per-field table reuse is
+/// exercised too.
 SimilarityFunction AllPlanFunction() {
   return SimilarityFunction(
       {
@@ -230,8 +228,7 @@ SimilarityFunction AllPlanFunction() {
           {Field::kSurname, Measure::kJaro, 0.05},
           {Field::kSex, Measure::kExact, 0.10},
           {Field::kAddress, Measure::kLevenshtein, 0.15},
-          {Field::kOccupation, Measure::kDamerau, 0.10},
-          {Field::kOccupation, Measure::kMongeElkan, 0.05},
+          {Field::kOccupation, Measure::kDamerau, 0.15},
           {Field::kAge, Measure::kExact, 0.10},
       },
       /*threshold=*/0.7);
@@ -255,7 +252,7 @@ TEST_F(SimilarityKernelPropertyTest, AllPlansAllPoliciesAggregateIdentity) {
       fn.set_missing_policy(policy);
       fn.set_year_gap(pair.new_dataset.year() - pair.old_dataset.year());
 
-      const SimCache cache(fn, pair.old_dataset, pair.new_dataset);
+      const SimBatch batch(fn, pair.old_dataset, pair.new_dataset);
       // High cutoffs force the running-cutoff path to hand every kernel a
       // nonzero kernel_min, so the in-kernel bound rejects fire too.
       const double min_sim = 0.5 + 0.1 * c.rng().NextBounded(5);
@@ -263,14 +260,14 @@ TEST_F(SimilarityKernelPropertyTest, AllPlansAllPoliciesAggregateIdentity) {
         const double expected =
             reference::Aggregate(fn, pair.old_dataset.record(cand.old_id),
                                  pair.new_dataset.record(cand.new_id));
-        const double got = cache.Aggregate(cand.old_id, cand.new_id);
+        const double got = batch.Aggregate(cand.old_id, cand.new_id);
         c.ExpectTrue(got == expected,
                      "policy " + std::to_string(static_cast<int>(policy)) +
-                         ": cache " + std::to_string(got) + " != reference " +
+                         ": batch " + std::to_string(got) + " != reference " +
                          std::to_string(expected));
         const double pruned =
-            cache.AggregateWithThreshold(cand.old_id, cand.new_id, min_sim);
-        if (pruned == SimCache::kPruned) {
+            batch.AggregateWithThreshold(cand.old_id, cand.new_id, min_sim);
+        if (pruned == SimBatch::kPruned) {
           c.ExpectTrue(expected < min_sim,
                        "pruned at min_sim " + std::to_string(min_sim) +
                            " but exact sim is " + std::to_string(expected));

@@ -1,17 +1,20 @@
 // Data-race hammers for the shared-state subsystems the thread-safety
 // annotations now cover, meant to run under the tsan preset (they pass —
 // slowly — on plain builds too). Each case maximizes the interleavings the
-// static analysis reasons about: SimCache's sharded memo under mixed
-// insert/read traffic that crosses shard boundaries, PreMatcher's kept-pair
-// store under lookups mixing store hits with memo misses, and the metrics
-// registry taking snapshots while other threads concurrently register and
-// update metrics. A TSan report here means either an annotation is wrong
-// (a field marked guarded that is touched unlocked) or a lock was dropped
-// in a migration — both are exactly what the analyze preset + this suite
-// exist to catch from opposite directions (compile time vs run time).
+// static analysis reasons about: SimBatch's immutable value tables read by
+// several threads at once, each with its own thread-local kernel and
+// pair scratch, PreMatcher's kept-pair store under lookups mixing store
+// hits with rescored misses, and the metrics registry taking snapshots
+// while other threads concurrently register and update metrics. A TSan
+// report here means either an annotation is wrong (a field marked guarded
+// that is touched unlocked), a lock was dropped in a migration, or state
+// meant to be thread-local or frozen is shared and written — what the
+// analyze preset + this suite exist to catch from opposite directions
+// (compile time vs run time).
 
 #include <atomic>
 #include <cstdint>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -21,7 +24,7 @@
 #include "tglink/linkage/prematching.h"
 #include "tglink/obs/memprof.h"
 #include "tglink/obs/metrics.h"
-#include "tglink/similarity/sim_cache.h"
+#include "tglink/similarity/sim_batch.h"
 #include "tests/paper_example.h"
 
 namespace tglink {
@@ -29,76 +32,89 @@ namespace {
 
 using namespace testing_example;
 
-// A similarity function built entirely from the measures without kernels
-// (Monge-Elkan, Smith-Waterman, double-metaphone, LCS) — the ones SimCache
-// memoizes — so every component comparison goes through the sharded memo
-// and its SharedMutex discipline. The split-mix
-// shard hash spreads the (old value, new value) id pairs of the census
-// fixtures across shards, so concurrent threads constantly interleave an
-// exclusive insert on one shard with shared reads on others.
-SimilarityFunction FallbackHeavySimFunc() {
-  SimilarityFunction fn({{Field::kFirstName, Measure::kMongeElkan, 2.0},
-                         {Field::kSurname, Measure::kSmithWaterman, 2.0},
-                         {Field::kFirstName, Measure::kDoubleMetaphone, 1.0},
-                         {Field::kAddress, Measure::kLcsSubstring, 1.0}},
+// A similarity function touching every SimBatch plan: both Dice gram sizes,
+// the full edit/Jaro family, Soundex, exact and the temporal age component.
+// Several specs share a field, so threads read shared field tables through
+// different kernels at the same time.
+SimilarityFunction AllPlanSimFunc() {
+  SimilarityFunction fn({{Field::kFirstName, Measure::kJaroWinkler, 2.0},
+                         {Field::kFirstName, Measure::kSoundexEqual, 1.0},
+                         {Field::kFirstName, Measure::kQGramDice, 1.0},
+                         {Field::kSurname, Measure::kTrigramDice, 2.0},
+                         {Field::kSurname, Measure::kJaro, 1.0},
+                         {Field::kSex, Measure::kExact, 1.0},
+                         {Field::kAddress, Measure::kLevenshtein, 1.0},
+                         {Field::kOccupation, Measure::kDamerau, 1.0},
+                         {Field::kAge, Measure::kExact, 1.0}},
                         /*threshold=*/0.8);
   fn.set_year_gap(10);
   return fn;
 }
 
-TEST(TsanHammerTest, SimCacheCrossShardInsertReadInterleaving) {
+TEST(TsanHammerTest, SimBatchSharedTablesThresholdScoring) {
   const CensusDataset old_d = MakeCensus1871();
   const CensusDataset new_d = MakeCensus1881();
-  const SimilarityFunction fn = FallbackHeavySimFunc();
-  const SimCache cache(fn, old_d, new_d);
+  const SimilarityFunction fn = AllPlanSimFunc();
+  const SimBatch batch(fn, old_d, new_d);
 
   const size_t num_old = old_d.num_records();
   const size_t num_new = new_d.num_records();
+  const size_t total = num_old * num_new;
+  std::vector<double> want(total);
+  for (size_t flat = 0; flat < total; ++flat) {
+    want[flat] = fn.AggregateSimilarity(
+        old_d.record(static_cast<RecordId>(flat / num_new)),
+        new_d.record(static_cast<RecordId>(flat % num_new)));
+  }
   constexpr int kThreads = 4;
   constexpr int kRounds = 30;
+  constexpr double kMinSims[] = {0.0, 0.3, 0.6, 0.9};
   std::atomic<bool> mismatch{false};
+  std::atomic<uint64_t> pruned{0};
 
   // Every thread walks the full cross product, each starting at a
-  // different offset so early iterations mix first-touch inserts from one
-  // thread with memo reads of the same pair from another. Values must be
-  // bit-identical to the direct path no matter which thread populated the
-  // memo entry.
+  // different offset and cycling through cutoffs, so the same tables are
+  // read at once by the exact path, the bound screen and kernels handed
+  // different running cutoffs. Unpruned values must be bit-identical to the
+  // direct path; a pruned pair must be below its cutoff.
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
-      const size_t total = num_old * num_new;
       for (int round = 0; round < kRounds; ++round) {
+        const double min_sim = kMinSims[(round + t) % std::size(kMinSims)];
         for (size_t k = 0; k < total; ++k) {
           const size_t flat = (k + static_cast<size_t>(t) * 7) % total;
-          const RecordId o = static_cast<RecordId>(flat / num_new);
-          const RecordId n = static_cast<RecordId>(flat % num_new);
-          const double got = cache.Aggregate(o, n);
-          const double want =
-              fn.AggregateSimilarity(old_d.record(o), new_d.record(n));
-          if (got != want) mismatch.store(true);
+          const double got = batch.AggregateWithThreshold(
+              static_cast<RecordId>(flat / num_new),
+              static_cast<RecordId>(flat % num_new), min_sim);
+          if (got == SimBatch::kPruned) {
+            pruned.fetch_add(1, std::memory_order_relaxed);
+            if (want[flat] >= min_sim) mismatch.store(true);
+          } else if (got != want[flat]) {
+            mismatch.store(true);
+          }
         }
       }
     });
   }
   for (std::thread& th : threads) th.join();
   EXPECT_FALSE(mismatch.load());
-  // The memoized measures generated real memo traffic (otherwise this test
-  // silently stopped exercising the shard locks).
-  EXPECT_GT(cache.misses(), 0u);
-  EXPECT_GT(cache.hits(), 0u);
+  // The cutoffs actually pruned (otherwise this test silently stopped
+  // exercising the bound screen and the kernel cutoffs).
+  EXPECT_GT(pruned.load(), 0u);
 }
 
 // PreMatcher's CSR kept-pair store is read by every pool worker during
 // subgraph construction. Four threads look up the full cross product —
-// kept pairs from the store, misses through the shared memo — and must
-// reproduce the answers of an identically built PreMatcher queried
-// serially, so the store's immutability and the memo's locking are both
-// exercised.
+// kept pairs from the store, misses rescored through the shared SimBatch —
+// and must reproduce the answers of an identically built PreMatcher
+// queried serially, so the store's immutability and the batch's shared
+// tables are both exercised.
 TEST(TsanHammerTest, PreMatcherPairSimilarityConcurrentLookups) {
   const CensusDataset old_d = MakeCensus1871();
   const CensusDataset new_d = MakeCensus1881();
-  const SimilarityFunction fn = FallbackHeavySimFunc();
+  const SimilarityFunction fn = AllPlanSimFunc();
   const BlockingConfig blocking = BlockingConfig::MakeExhaustive();
   const size_t num_old = old_d.num_records();
   const size_t num_new = new_d.num_records();

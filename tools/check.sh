@@ -153,11 +153,11 @@ if [ "$quick" -eq 0 ]; then
   done
   note ran "fuzz smoke"
 
-  # The multi-threaded surface — pool, sim-cache, obs, the kept-pair store,
-  # the pooled subgraph build and the candidate index's shared output vector
-  # (pool workers fill disjoint ranges of it) — under TSan. Scoped to the thread-hammer
-  # tests so the stage stays bounded; the full suite already runs under
-  # release and asan above.
+  # The multi-threaded surface — pool, SimBatch scoring, obs, the kept-pair
+  # store, the pooled subgraph build and the candidate index's shared output
+  # vector (pool workers fill disjoint ranges of it) — under TSan. Scoped to
+  # the thread-hammer tests so the stage stays bounded; the full suite
+  # already runs under release and asan above.
   stage "configure+build: tsan (threaded tests)"
   cmake --preset tsan
   cmake --build --preset tsan -j "$jobs" \
@@ -181,14 +181,13 @@ if [ "$quick" -eq 0 ]; then
   cmake --build --preset coverage -j "$jobs" \
     --target blocking_test candidate_index_test \
              candidate_index_property_test sorted_neighborhood_test \
-             qgram_test alignment_test double_metaphone_test \
-             measure_properties_test edit_distance_test jaro_test \
-             phonetic_test numeric_token_test composite_test \
-             sim_cache_test similarity_kernel_property_test
+             qgram_test measure_properties_test edit_distance_test \
+             jaro_test phonetic_test numeric_token_test composite_test \
+             sim_batch_test similarity_kernel_property_test
   stage "ctest: coverage (blocking + similarity suites)"
   find "$root/build-coverage" -name '*.gcda' -delete
   ctest --preset coverage -R \
-    '^(blocking_test|candidate_index_test|candidate_index_property_test(_mt)?|sorted_neighborhood_test|qgram_test|alignment_test|double_metaphone_test|measure_properties_test|edit_distance_test|jaro_test|phonetic_test|numeric_token_test|composite_test|sim_cache_test|similarity_kernel_property_test(_mt)?)$'
+    '^(blocking_test|candidate_index_test|candidate_index_property_test(_mt)?|sorted_neighborhood_test|qgram_test|measure_properties_test|edit_distance_test|jaro_test|phonetic_test|numeric_token_test|composite_test|sim_batch_test|similarity_kernel_property_test(_mt)?)$'
   stage "coverage gate: blocking + similarity >= 90% lines"
   python3 tools/check_coverage.py --build-dir "$root/build-coverage" \
     --filter src/tglink/blocking/ --filter src/tglink/similarity/ \
