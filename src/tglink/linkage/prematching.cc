@@ -100,7 +100,7 @@ double PreMatcher::PairSimilarity(RecordId old_id, RecordId new_id) const {
     return row_sim_[static_cast<size_t>(it - row_new_.begin())];
   }
   TGLINK_COUNTER_INC("simcache.prematch_miss");
-  return sim_batch_.Aggregate(old_id, new_id);
+  return kNotKept;
 }
 
 Clustering PreMatcher::Cluster(double delta,

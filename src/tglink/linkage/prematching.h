@@ -91,10 +91,14 @@ class PreMatcher {
       double delta, const std::vector<bool>& active_old,
       const std::vector<bool>& active_new) const;
 
-  /// agg_sim for any record pair: looked up in the kept-pair store for a
-  /// kept pair (a blocking candidate at or above min_threshold), computed
-  /// on demand otherwise (needed for transitively-clustered pairs). Misses
-  /// are rescored through the SimBatch and counted as
+  /// Returned by PairSimilarity for a pair outside the kept set; below
+  /// every admissible δ.
+  static constexpr double kNotKept = -1.0;
+
+  /// agg_sim of a kept pair (a blocking candidate at or above
+  /// min_threshold), or kNotKept for any other pair: a pair outside the
+  /// kept set is not a subgraph vertex, even when transitive clustering
+  /// gives its ends one label. Misses are counted as
   /// "simcache.prematch_miss". Safe to call concurrently.
   double PairSimilarity(RecordId old_id, RecordId new_id) const;
 

@@ -75,7 +75,7 @@ GroupPairSubgraph BuildFromMemberPairs(
       if (gate > 0 && age_sim <= 0.0) continue;  // implausible ageing
     }
     const double sim = prematcher.PairSimilarity(p->old_id, p->new_id);
-    if (sim + 1e-12 < delta) continue;  // label by chaining only
+    if (sim + 1e-12 < delta) continue;  // not a kept pair admissible at δ
     candidates.push_back({p->old_id, p->new_id, sim, age_sim});
   }
   // A lone vertex has no incident edge, so step 4 would prune it.

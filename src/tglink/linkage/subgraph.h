@@ -53,10 +53,11 @@ struct GroupPairSubgraph {
 
 /// Builds and scores the common subgraph for one group pair. Only active
 /// records participate (inactive ones carry kNoLabel in the clustering).
-/// A vertex additionally requires the pair's *direct* aggregated similarity
-/// to reach `delta`, the current iteration's threshold — equal labels alone
-/// can be the product of transitive chaining through intermediate records
-/// and would otherwise let dissimilar records into the mapping. Records
+/// A vertex additionally requires the pair to be a kept pair of the
+/// PreMatcher whose similarity reaches `delta`, the current iteration's
+/// threshold — equal labels alone can be the product of transitive
+/// chaining through intermediate records and would otherwise let
+/// dissimilar records, or pairs blocking never proposed, into the mapping. Records
 /// appearing in several equally-labeled pairs within the group pair are
 /// resolved greedily 1:1 by descending record similarity. Vertices without
 /// any matching incident edge are pruned (cf. Fig. 4 of the paper); a

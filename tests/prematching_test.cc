@@ -98,12 +98,10 @@ TEST_F(PreMatchingFig3Test, MemberListsConsistentWithLabels) {
 }
 
 TEST_F(PreMatchingFig3Test, PairSimilarityCachedAndOnDemandAgree) {
-  // Cached pair (john ashworth 0-0) and a non-cached pair must both return
-  // the underlying similarity function's value.
+  // A kept pair (john ashworth 0-0) returns its similarity; a pair outside
+  // the kept set is not a vertex.
   EXPECT_DOUBLE_EQ(prematcher_.PairSimilarity(0, 0), 1.0);
-  const double direct =
-      sim_func_.AggregateSimilarity(old_d_.record(2), new_d_.record(6));
-  EXPECT_DOUBLE_EQ(prematcher_.PairSimilarity(2, 6), direct);
+  EXPECT_EQ(prematcher_.PairSimilarity(2, 6), PreMatcher::kNotKept);
 }
 
 TEST_F(PreMatchingFig3Test, InactiveRecordsExcluded) {
@@ -404,8 +402,7 @@ TEST(PreMatchingClusterOracleTest, AdmissionToleranceIsUnchanged) {
             admitted.new_labels[probe->new_id]);
 }
 
-// Lookups that must miss the store and fall through to the memo layer,
-// returning exactly the directly computed similarity.
+// Lookups that miss the store: each returns kNotKept, and counts once.
 class PreMatchingMissTest : public ::testing::Test {
  protected:
   // Old records 0 and 3 (the first and the last) match nothing at
@@ -471,7 +468,7 @@ TEST_F(PreMatchingMissTest, MissesFallThroughToDirectSimilarity) {
       {1, 1},          // scored but below the threshold
   };
   for (const auto& [o, n] : probes) {
-    EXPECT_EQ(prematcher_.PairSimilarity(o, n), Direct(o, n))
+    EXPECT_EQ(prematcher_.PairSimilarity(o, n), PreMatcher::kNotKept)
         << "(" << o << ", " << n << ")";
   }
   EXPECT_LT(prematcher_.PairSimilarity(1, 1), 1.0);
