@@ -27,6 +27,13 @@ const char* FieldName(Field field) {
 }
 
 std::string GetFieldValue(const PersonRecord& record, Field field) {
+  if (field == Field::kAge) {
+    return record.has_age() ? std::to_string(record.age) : std::string();
+  }
+  return std::string(GetStringFieldView(record, field));
+}
+
+std::string_view GetStringFieldView(const PersonRecord& record, Field field) {
   switch (field) {
     case Field::kFirstName:
       return record.first_name;
@@ -39,7 +46,7 @@ std::string GetFieldValue(const PersonRecord& record, Field field) {
     case Field::kOccupation:
       return record.occupation;
     case Field::kAge:
-      return record.has_age() ? std::to_string(record.age) : std::string();
+      break;
   }
   return {};
 }

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <string_view>
 
 #include "tglink/census/roles.h"
 
@@ -56,6 +57,9 @@ const char* FieldName(Field field);
 /// The string value of a (string-typed) field; Sex is rendered "m"/"f"/"";
 /// Age is rendered as decimal or "" when missing.
 std::string GetFieldValue(const PersonRecord& record, Field field);
+
+/// GetFieldValue without the copy; empty for Age, which stores no string.
+std::string_view GetStringFieldView(const PersonRecord& record, Field field);
 
 /// True when the field value is missing on this record.
 bool IsFieldMissing(const PersonRecord& record, Field field);

@@ -8,6 +8,7 @@
 #include "tglink/obs/memprof.h"
 #include "tglink/obs/metrics.h"
 #include "tglink/obs/trace.h"
+#include "tglink/similarity/sim_batch.h"
 #include "tglink/util/logging.h"
 #include "tglink/util/parallel.h"
 
@@ -17,11 +18,10 @@ PreMatcher::PreMatcher(const CensusDataset& old_dataset,
                        const CensusDataset& new_dataset,
                        const SimilarityFunction& sim_func,
                        const BlockingConfig& blocking, double min_threshold)
-    : old_dataset_(old_dataset),
-      new_dataset_(new_dataset),
-      sim_batch_(sim_func, old_dataset, new_dataset) {
+    : old_dataset_(old_dataset), new_dataset_(new_dataset) {
   TGLINK_TRACE_SPAN("prematch.score_candidates");
   TGLINK_MEM_STAGE("prematch.score_candidates");
+  const SimBatch sim_batch(sim_func, old_dataset, new_dataset);
   const std::vector<CandidatePair> candidates =
       GenerateCandidatePairs(old_dataset, new_dataset, blocking);
   // Score chunks in parallel; the per-candidate results come back in
@@ -32,10 +32,10 @@ PreMatcher::PreMatcher(const CensusDataset& old_dataset,
   // needs no extra branch and the kept set equals the exact one.
   const std::vector<double> sims = ParallelMap<double>(
       candidates.size(), "prematch.score_chunk",
-      [this, &candidates, min_threshold](size_t i) {
+      [&sim_batch, &candidates, min_threshold](size_t i) {
         const CandidatePair& cand = candidates[i];
-        return sim_batch_.AggregateWithThreshold(cand.old_id, cand.new_id,
-                                                 min_threshold);
+        return sim_batch.AggregateWithThreshold(cand.old_id, cand.new_id,
+                                                min_threshold);
       });
   // Candidates arrive sorted by (old, new), so the kept pairs fill the CSR
   // rows in order: count the kept pairs to size the store exactly, then
@@ -65,42 +65,17 @@ PreMatcher::PreMatcher(const CensusDataset& old_dataset,
   TGLINK_COUNTER_ADD("prematch.pairs_kept", num_kept);
 }
 
-template <typename Fn>
-void PreMatcher::ForEachAdmissiblePair(double delta,
-                                       const std::vector<bool>& active_old,
-                                       const std::vector<bool>& active_new,
-                                       Fn&& fn) const {
-  for (RecordId o = 0; o + 1 < row_begin_.size(); ++o) {
-    if (!active_old[o]) continue;
-    for (size_t k = row_begin_[o]; k < row_begin_[o + 1]; ++k) {
-      if (row_sim_[k] + 1e-12 >= delta && active_new[row_new_[k]]) {
-        fn(o, row_new_[k]);
-      }
-    }
-  }
-}
-
 size_t PreMatcher::CountPairsAtDelta(double delta,
                                      const std::vector<bool>& active_old,
                                      const std::vector<bool>& active_new)
     const {
   size_t count = 0;
-  ForEachAdmissiblePair(delta, active_old, active_new,
-                        [&count](RecordId, RecordId) { ++count; });
-  return count;
-}
-
-double PreMatcher::PairSimilarity(RecordId old_id, RecordId new_id) const {
-  TGLINK_DCHECK(old_id < old_dataset_.num_records())
-      << "old record " << old_id << " out of range";
-  const auto row_first = row_new_.begin() + row_begin_[old_id];
-  const auto row_last = row_new_.begin() + row_begin_[old_id + 1];
-  const auto it = std::lower_bound(row_first, row_last, new_id);
-  if (it != row_last && *it == new_id) {
-    return row_sim_[static_cast<size_t>(it - row_new_.begin())];
+  for (RecordId o = 0; o < old_dataset_.num_records(); ++o) {
+    if (!active_old[o]) continue;
+    ForEachAdmissibleInRow(
+        o, delta, [&](RecordId n, double) { count += active_new[n]; });
   }
-  TGLINK_COUNTER_INC("simcache.prematch_miss");
-  return kNotKept;
+  return count;
 }
 
 Clustering PreMatcher::Cluster(double delta,
@@ -115,29 +90,28 @@ Clustering PreMatcher::Cluster(double delta,
   // followed by new records. ComponentLabels numbers components by their
   // lowest node, so the labels do not depend on the order of the unions.
   UnionFind uf(n_old + n_new);
-  ForEachAdmissiblePair(delta, active_old, active_new,
-                        [&uf, n_old](RecordId o, RecordId n) {
-                          uf.Union(o, n_old + n);
-                        });
+  for (RecordId o = 0; o < n_old; ++o) {
+    if (!active_old[o]) continue;
+    ForEachAdmissibleInRow(o, delta, [&](RecordId n, double) {
+      if (active_new[n]) uf.Union(o, n_old + n);
+    });
+  }
   std::vector<uint32_t> labels = uf.ComponentLabels();
 
   Clustering clustering;
   clustering.old_labels.assign(n_old, Clustering::kNoLabel);
   clustering.new_labels.assign(n_new, Clustering::kNoLabel);
   clustering.num_labels = uf.num_components();
-  clustering.label_old_members.resize(clustering.num_labels);
-  clustering.label_new_members.resize(clustering.num_labels);
+  clustering.label_sizes.assign(clustering.num_labels, 0);
   for (size_t r = 0; r < n_old; ++r) {
     if (!active_old[r]) continue;
-    const uint32_t label = labels[r];
-    clustering.old_labels[r] = label;
-    clustering.label_old_members[label].push_back(static_cast<RecordId>(r));
+    clustering.old_labels[r] = labels[r];
+    ++clustering.label_sizes[labels[r]];
   }
   for (size_t r = 0; r < n_new; ++r) {
     if (!active_new[r]) continue;
-    const uint32_t label = labels[n_old + r];
-    clustering.new_labels[r] = label;
-    clustering.label_new_members[label].push_back(static_cast<RecordId>(r));
+    clustering.new_labels[r] = labels[n_old + r];
+    ++clustering.label_sizes[labels[n_old + r]];
   }
   return clustering;
 }

@@ -14,12 +14,12 @@
 // The kept pairs are held once, in a CSR layout over old records: row o
 // lists the new ids of o's kept pairs in ascending order, with a parallel
 // similarity array. Blocking emits candidates sorted by (old, new), so the
-// rows fill in candidate order with no sort. PairSimilarity is a binary
-// search within one short row; Cluster and CountPairsAtDelta scan the rows
-// of active old records. The union-find numbers components by their lowest
-// node index, so the clustering does not depend on the order in which
-// pairs are unioned, and no similarity order is kept. The store is
-// immutable after construction, so concurrent lookups need no lock.
+// rows fill in candidate order with no sort. One test admits a kept pair
+// at δ (ForEachAdmissibleInRow): admissible kept pairs between active
+// records join labels in Cluster and are the only subgraph vertices. The
+// union-find numbers components by their lowest node index, so labels do
+// not depend on the order of the unions. The store is immutable after
+// construction, so concurrent reads need no lock.
 
 #ifndef TGLINK_LINKAGE_PREMATCHING_H_
 #define TGLINK_LINKAGE_PREMATCHING_H_
@@ -30,7 +30,6 @@
 #include "tglink/blocking/blocking.h"
 #include "tglink/census/dataset.h"
 #include "tglink/similarity/composite.h"
-#include "tglink/similarity/sim_batch.h"
 
 namespace tglink {
 
@@ -42,30 +41,26 @@ struct ScoredPair {
 
 /// The result of one clustering round: per-record cluster labels over both
 /// snapshots. Records marked inactive (already matched in an earlier
-/// iteration) carry kNoLabel and are absent from the member lists.
+/// iteration) carry kNoLabel and are not counted in any label's size.
 struct Clustering {
   static constexpr uint32_t kNoLabel = UINT32_MAX;
 
   std::vector<uint32_t> old_labels;  // per old record
   std::vector<uint32_t> new_labels;  // per new record
   size_t num_labels = 0;
-
-  /// Active records per label, per side. Indexed by label.
-  std::vector<std::vector<RecordId>> label_old_members;
-  std::vector<std::vector<RecordId>> label_new_members;
+  /// Active records (both snapshots) per label. Indexed by label.
+  std::vector<uint32_t> label_sizes;
 
   /// |label(r)| of Eq. 7: number of active records (both snapshots) that
   /// carry this label.
-  size_t LabelSize(uint32_t label) const {
-    return label_old_members[label].size() + label_new_members[label].size();
-  }
+  size_t LabelSize(uint32_t label) const { return label_sizes[label]; }
 };
 
 class PreMatcher {
  public:
   /// Scores all blocking candidates once (in parallel over the shared
   /// pool); pairs below `min_threshold` (normally δ_low) are discarded.
-  /// The datasets and similarity function must outlive the PreMatcher.
+  /// The datasets must outlive the PreMatcher.
   PreMatcher(const CensusDataset& old_dataset, const CensusDataset& new_dataset,
              const SimilarityFunction& sim_func, const BlockingConfig& blocking,
              double min_threshold);
@@ -91,16 +86,14 @@ class PreMatcher {
       double delta, const std::vector<bool>& active_old,
       const std::vector<bool>& active_new) const;
 
-  /// Returned by PairSimilarity for a pair outside the kept set; below
-  /// every admissible δ.
-  static constexpr double kNotKept = -1.0;
-
-  /// agg_sim of a kept pair (a blocking candidate at or above
-  /// min_threshold), or kNotKept for any other pair: a pair outside the
-  /// kept set is not a subgraph vertex, even when transitive clustering
-  /// gives its ends one label. Misses are counted as
-  /// "simcache.prematch_miss". Safe to call concurrently.
-  double PairSimilarity(RecordId old_id, RecordId new_id) const;
+  /// Calls `fn(new_id, sim)` on every kept pair (old_id, new_id) with
+  /// sim + 1e-12 >= delta, in ascending new id: the one admission test.
+  template <typename Fn>
+  void ForEachAdmissibleInRow(RecordId old_id, double delta, Fn&& fn) const {
+    for (size_t k = row_begin_[old_id]; k < row_begin_[old_id + 1]; ++k) {
+      if (row_sim_[k] + 1e-12 >= delta) fn(row_new_[k], row_sim_[k]);
+    }
+  }
 
   /// Clusters active records using pairs with sim >= delta (the
   /// `prematching` step of one Algorithm 1 iteration). `active_*[r]` is
@@ -109,16 +102,8 @@ class PreMatcher {
                      const std::vector<bool>& active_new) const;
 
  private:
-  /// Calls `fn(old_id, new_id)` on every kept pair between active records
-  /// with sim + 1e-12 >= delta.
-  template <typename Fn>
-  void ForEachAdmissiblePair(double delta, const std::vector<bool>& active_old,
-                             const std::vector<bool>& active_new,
-                             Fn&& fn) const;
-
   const CensusDataset& old_dataset_;
   const CensusDataset& new_dataset_;
-  SimBatch sim_batch_;
   // CSR kept-pair store: old record o's kept pairs are
   // (o, row_new_[k]) with similarity row_sim_[k], for k in
   // [row_begin_[o], row_begin_[o + 1]), new ids ascending.

@@ -39,30 +39,47 @@ double EdgePropertySimilarity(const HouseholdGraph& old_graph,
   return 0.5;
 }
 
-/// A label-shared member pair: old record `old_id` and new record `new_id`
-/// carry the same cluster label; `new_group` is the new record's household.
+/// A vertex candidate; `new_group` is the new record's household.
 struct MemberPair {
   GroupId new_group;
   RecordId old_id;
   RecordId new_id;
+  double sim;
 };
 
+/// Calls `fn(const MemberPair&)` on every kept pair admissible at `delta`
+/// from an active member of `old_graph` to an active new record, read from
+/// the members' CSR rows.
+template <typename Fn>
+void ForEachMemberPair(const HouseholdGraph& old_graph,
+                       const Clustering& clustering,
+                       const PreMatcher& prematcher,
+                       const CensusDataset& new_dataset, double delta,
+                       Fn&& fn) {
+  for (RecordId o : old_graph.members()) {
+    if (clustering.old_labels[o] == Clustering::kNoLabel) continue;
+    prematcher.ForEachAdmissibleInRow(o, delta, [&](RecordId n, double sim) {
+      if (clustering.new_labels[n] == Clustering::kNoLabel) return;
+      fn(MemberPair{new_dataset.record(n).group, o, n, sim});
+    });
+  }
+}
+
 /// Builds and scores the common subgraph of (old_group, new_group) from its
-/// label-shared member pairs [first, last), given in any order.
+/// member pairs [first, last), given in any order.
 GroupPairSubgraph BuildFromMemberPairs(
     GroupId old_group, GroupId new_group, const MemberPair* first,
     const MemberPair* last, const HouseholdGraph& old_graph,
     const HouseholdGraph& new_graph, const Clustering& clustering,
-    const PreMatcher& prematcher, const LinkageConfig& config,
-    const CensusDataset& old_dataset, const CensusDataset& new_dataset,
-    double delta) {
+    const LinkageConfig& config, const CensusDataset& old_dataset,
+    const CensusDataset& new_dataset) {
   GroupPairSubgraph subgraph;
   subgraph.old_group = old_group;
   subgraph.new_group = new_group;
   const int year_gap = new_dataset.year() - old_dataset.year();
 
-  // 1. Candidate vertices: label-shared member pairs whose recorded ages
-  // are temporally plausible (footnote 2 of the paper).
+  // 1. Candidate vertices: member pairs whose recorded ages are temporally
+  // plausible (footnote 2 of the paper).
   std::vector<SubgraphVertex> candidates;
   for (const MemberPair* p = first; p != last; ++p) {
     const PersonRecord& old_rec = old_dataset.record(p->old_id);
@@ -74,9 +91,7 @@ GroupPairSubgraph BuildFromMemberPairs(
                                       gate > 0 ? gate : 7);
       if (gate > 0 && age_sim <= 0.0) continue;  // implausible ageing
     }
-    const double sim = prematcher.PairSimilarity(p->old_id, p->new_id);
-    if (sim + 1e-12 < delta) continue;  // not a kept pair admissible at δ
-    candidates.push_back({p->old_id, p->new_id, sim, age_sim});
+    candidates.push_back({p->old_id, p->new_id, p->sim, age_sim});
   }
   // A lone vertex has no incident edge, so step 4 would prune it.
   if (candidates.size() < 2) return subgraph;
@@ -132,19 +147,15 @@ GroupPairSubgraph BuildFromMemberPairs(
 
 #ifndef NDEBUG
   // The soundness of BuildAllSubgraphs' two-and-two filter: a kept
-  // subgraph has an edge, hence two vertices, each an equally labelled
-  // pair admissible at delta.
+  // subgraph has an edge, hence two vertices. An admissible kept pair
+  // joins its ends into one label.
   TGLINK_DCHECK(subgraph.vertices.size() >= 2)
       << "non-empty subgraph with " << subgraph.vertices.size() << " vertex";
   for (const SubgraphVertex& v : subgraph.vertices) {
-    const uint32_t label = clustering.old_labels[v.old_id];
-    TGLINK_DCHECK(label != Clustering::kNoLabel &&
-                  label == clustering.new_labels[v.new_id])
+    TGLINK_DCHECK(clustering.old_labels[v.old_id] ==
+                  clustering.new_labels[v.new_id])
         << "vertex (" << v.old_id << ", " << v.new_id
         << ") does not share a label";
-    TGLINK_DCHECK(v.sim + 1e-12 >= delta)
-        << "vertex (" << v.old_id << ", " << v.new_id << ") sim " << v.sim
-        << " below delta " << delta;
   }
 #endif
 
@@ -181,19 +192,14 @@ GroupPairSubgraph BuildGroupPairSubgraph(
     const CensusDataset& old_dataset, const CensusDataset& new_dataset,
     double delta) {
   std::vector<MemberPair> members;
-  for (RecordId o : old_graph.members()) {
-    const uint32_t label = clustering.old_labels[o];
-    if (label == Clustering::kNoLabel) continue;
-    for (RecordId n : new_graph.members()) {
-      if (clustering.new_labels[n] == label) {
-        members.push_back({new_group, o, n});
-      }
-    }
-  }
+  ForEachMemberPair(old_graph, clustering, prematcher, new_dataset, delta,
+                    [&members, new_group](const MemberPair& p) {
+                      if (p.new_group == new_group) members.push_back(p);
+                    });
   return BuildFromMemberPairs(old_group, new_group, members.data(),
                               members.data() + members.size(), old_graph,
-                              new_graph, clustering, prematcher, config,
-                              old_dataset, new_dataset, delta);
+                              new_graph, clustering, config, old_dataset,
+                              new_dataset);
 }
 
 std::vector<GroupPairSubgraph> BuildAllSubgraphs(
@@ -204,9 +210,9 @@ std::vector<GroupPairSubgraph> BuildAllSubgraphs(
     const LinkageConfig& config, double delta) {
   TGLINK_TRACE_SPAN("subgraph.build_score", delta);
   TGLINK_MEM_STAGE("subgraph.build_score");
-  // Candidate group pairs: every label-shared member pair (o, n) nominates
-  // (group(o), group(n)). Each old household enumerates its member pairs
-  // and groups them by new household with a counting pass, so each key's
+  // Candidate group pairs: every vertex candidate (o, n) nominates
+  // (group(o), group(n)). Each old household reads its members' CSR rows
+  // and groups the pairs by new household with a counting pass, so each key's
   // member pairs form one run and the keys come out ascending. A key can
   // yield a non-empty subgraph only if its run holds two distinct old and
   // two distinct new records: a matching edge joins two vertices, and the
@@ -241,15 +247,13 @@ std::vector<GroupPairSubgraph> BuildAllSubgraphs(
            go < go_end; ++go) {
         pairs.clear();
         new_groups.clear();
-        for (RecordId o : old_graphs[go].members()) {
-          const uint32_t label = clustering.old_labels[o];
-          if (label == Clustering::kNoLabel) continue;
-          for (RecordId n : clustering.label_new_members[label]) {
-            const GroupId gn = new_dataset.record(n).group;
-            if (slot[gn]++ == 0) new_groups.push_back(gn);
-            pairs.push_back({gn, o, n});
-          }
-        }
+        ForEachMemberPair(old_graphs[go], clustering, prematcher,
+                          new_dataset, delta, [&](const MemberPair& p) {
+                            if (slot[p.new_group]++ == 0) {
+                              new_groups.push_back(p.new_group);
+                            }
+                            pairs.push_back(p);
+                          });
         block.member_pairs += pairs.size();
         std::sort(new_groups.begin(), new_groups.end());
         uint32_t offset = 0;
@@ -275,8 +279,8 @@ std::vector<GroupPairSubgraph> BuildAllSubgraphs(
             ++block.candidate_group_pairs;
             GroupPairSubgraph subgraph = BuildFromMemberPairs(
                 go, gn, grouped.data() + begin, grouped.data() + end,
-                old_graphs[go], new_graphs[gn], clustering, prematcher,
-                config, old_dataset, new_dataset, delta);
+                old_graphs[go], new_graphs[gn], clustering, config,
+                old_dataset, new_dataset);
             if (!subgraph.empty()) block.kept.push_back(std::move(subgraph));
           } else {
             ++block.filtered_keys;

@@ -1,7 +1,9 @@
-// Subgraph matching (Section 3.3): for every pair of households that share
-// at least one cluster label, construct the common subgraph of equally
-// labeled record pairs whose relationships agree in unified type and age
-// difference, and score it with the three criteria of Section 3.4.
+// Subgraph matching (Section 3.3): for every pair of households joined by
+// a vertex candidate, construct the common subgraph of record pairs whose
+// relationships agree in unified type and age difference, and score it
+// with the three criteria of Section 3.4. A vertex is a kept pair of the
+// PreMatcher admissible at the round's δ between active records, so its
+// ends share a cluster label (DESIGN.md §14).
 
 #ifndef TGLINK_LINKAGE_SUBGRAPH_H_
 #define TGLINK_LINKAGE_SUBGRAPH_H_
@@ -51,18 +53,15 @@ struct GroupPairSubgraph {
   bool empty() const { return vertices.empty(); }
 };
 
-/// Builds and scores the common subgraph for one group pair. Only active
-/// records participate (inactive ones carry kNoLabel in the clustering).
-/// A vertex additionally requires the pair to be a kept pair of the
-/// PreMatcher whose similarity reaches `delta`, the current iteration's
-/// threshold — equal labels alone can be the product of transitive
-/// chaining through intermediate records and would otherwise let
-/// dissimilar records, or pairs blocking never proposed, into the mapping. Records
-/// appearing in several equally-labeled pairs within the group pair are
-/// resolved greedily 1:1 by descending record similarity. Vertices without
-/// any matching incident edge are pruned (cf. Fig. 4 of the paper); a
-/// pruned-empty subgraph means the group pair yields no candidate —
-/// single-record overlaps are recovered later by residual matching.
+/// Builds and scores the common subgraph for one group pair from the kept
+/// pairs admissible at `delta` between its active members; `clustering`
+/// comes from PreMatcher::Cluster at the same δ. Equal labels alone are
+/// not enough: transitive chaining would let dissimilar records in.
+/// Records in several candidates are resolved greedily 1:1 by descending
+/// record similarity. Vertices without any matching incident edge are
+/// pruned (cf. Fig. 4 of the paper); a pruned-empty subgraph means the
+/// group pair yields no candidate — single-record overlaps are recovered
+/// later by residual matching.
 GroupPairSubgraph BuildGroupPairSubgraph(
     GroupId old_group, GroupId new_group, const HouseholdGraph& old_graph,
     const HouseholdGraph& new_graph, const Clustering& clustering,
@@ -74,10 +73,10 @@ GroupPairSubgraph BuildGroupPairSubgraph(
 /// many; the output does not depend on it.
 inline constexpr size_t kSubgraphBlockHouseholds = 16;
 
-/// Returns the non-empty scored subgraphs of all group pairs sharing >= 1
-/// cluster label, ordered by (old group, new group). Only pairs whose
-/// label-shared members include two distinct old and two distinct new
-/// records are built; no other pair can have an edge (DESIGN.md §14).
+/// Returns the non-empty scored subgraphs of all group pairs joined by a
+/// vertex candidate, ordered by (old group, new group). Only pairs whose
+/// candidates include two distinct old and two distinct new records are
+/// built; no other pair can have an edge (DESIGN.md §14).
 std::vector<GroupPairSubgraph> BuildAllSubgraphs(
     const CensusDataset& old_dataset, const CensusDataset& new_dataset,
     const std::vector<HouseholdGraph>& old_graphs,

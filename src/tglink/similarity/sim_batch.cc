@@ -1,8 +1,8 @@
 #include "tglink/similarity/sim_batch.h"
 
 #include <algorithm>
+#include <functional>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
 
 #include "tglink/obs/memprof.h"
@@ -71,7 +71,10 @@ SimBatch::SimBatch(const SimilarityFunction& fn,
     if (plan.table < 0) continue;
     FieldTable& table = tables_[plan.table];
     const size_t n = table.num_values();
+    // A value of length L has L + q - 1 padded grams, so each profile
+    // vector is sized exactly once.
     if (plan.plan == Plan::kGram2Dice && table.gram2_starts.empty()) {
+      table.gram2_data.reserve(table.arena.size() + n);
       table.gram2_starts.reserve(n + 1);
       table.gram2_starts.push_back(0);
       for (uint32_t vid = 0; vid < n; ++vid) {
@@ -82,6 +85,7 @@ SimBatch::SimBatch(const SimilarityFunction& fn,
       }
     }
     if (plan.plan == Plan::kGram3Dice && table.gram3_starts.empty()) {
+      table.gram3_data.reserve(table.arena.size() + 2 * n);
       table.gram3_starts.reserve(n + 1);
       table.gram3_starts.push_back(0);
       for (uint32_t vid = 0; vid < n; ++vid) {
@@ -144,17 +148,35 @@ int SimBatch::BuildFieldTable(Field field) {
   index = static_cast<int>(tables_.size());
   tables_.emplace_back();
   FieldTable& table = tables_.back();
-  table.offsets.push_back(0);
-  std::unordered_map<std::string, uint32_t> interner;
-  const auto intern = [&](const PersonRecord& record) {
-    const auto [it, inserted] = interner.emplace(
-        GetFieldValue(record, field), static_cast<uint32_t>(interner.size()));
-    if (inserted) {
-      table.arena.append(it->first);
-      table.offsets.push_back(static_cast<uint32_t>(table.arena.size()));
+  // Open addressing over views into the records: a value is copied only
+  // into the arena, and no node is allocated per value. slots[h] holds a
+  // value id + 1 (0 = empty); the table doubles when half full.
+  std::vector<uint32_t> slots(64, 0);
+  const auto slot_of = [&](std::string_view v) {
+    const size_t mask = slots.size() - 1;
+    size_t h = std::hash<std::string_view>{}(v) & mask;
+    while (slots[h] != 0 && table.Ref(slots[h] - 1).view() != v) {
+      h = (h + 1) & mask;
     }
-    return it->second;
+    return h;
   };
+  const auto intern = [&](const PersonRecord& record) {
+    const std::string_view v = GetStringFieldView(record, field);
+    const size_t h = slot_of(v);
+    if (slots[h] != 0) return slots[h] - 1;
+    table.arena.append(v);
+    table.offsets.push_back(static_cast<uint32_t>(table.arena.size()));
+    const uint32_t id = static_cast<uint32_t>(table.num_values() - 1);
+    slots[h] = id + 1;
+    if (2 * table.num_values() > slots.size()) {
+      slots.assign(2 * slots.size(), 0);
+      for (uint32_t k = 0; k <= id; ++k) {
+        slots[slot_of(table.Ref(k).view())] = k + 1;
+      }
+    }
+    return id;
+  };
+  table.offsets.push_back(0);
   table.old_ids.reserve(old_dataset_.num_records());
   for (const PersonRecord& record : old_dataset_.records()) {
     table.old_ids.push_back(intern(record));
@@ -163,7 +185,7 @@ int SimBatch::BuildFieldTable(Field field) {
   for (const PersonRecord& record : new_dataset_.records()) {
     table.new_ids.push_back(intern(record));
   }
-  TGLINK_COUNTER_ADD("simcache.interned_values", interner.size());
+  TGLINK_COUNTER_ADD("simcache.interned_values", table.num_values());
   return index;
 }
 
@@ -227,11 +249,6 @@ double SimBatch::PresentValue(size_t spec_index, uint32_t va, uint32_t vb,
     }
   }
   return 0.0;
-}
-
-double SimBatch::Aggregate(RecordId old_id, RecordId new_id) const {
-  TGLINK_COUNTER_INC("similarity.agg_calls");
-  return ExactAggregate(old_id, new_id);
 }
 
 double SimBatch::ExactAggregate(RecordId old_id, RecordId new_id) const {

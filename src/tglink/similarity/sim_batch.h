@@ -7,7 +7,7 @@
 // to an allocation-free kernel (batch_kernels.h) that reads those flat
 // tables. The kernels are the same ones ComputeMeasure runs on plain
 // strings, and aggregation runs through SimilarityFunction::AggregateWith,
-// so Aggregate(o, n) is bit-identical to
+// so AggregateWithThreshold(o, n, 0.0) is bit-identical to
 // fn.AggregateSimilarity(old.record(o), new.record(n)).
 //
 // Threshold-aware pruning (AggregateWithThreshold): before any kernel runs,
@@ -25,13 +25,13 @@
 // (the property tests pin this), so callers that keep pairs with
 // sim >= min_sim see exactly the unpruned keep-set.
 //
-// Every Aggregate and AggregateWithThreshold call counts once towards
+// Every AggregateWithThreshold call counts once towards
 // "similarity.agg_calls", as AggregateSimilarity does; each field table
 // adds its distinct values to "simcache.interned_values".
 //
-// Thread safety: construction is single-threaded; Aggregate and
-// AggregateWithThreshold are lock-free over immutable tables (plus
-// thread-local scratch) and safe to call concurrently from pool workers.
+// Thread safety: construction is single-threaded; AggregateWithThreshold
+// is lock-free over immutable tables (plus thread-local scratch) and safe
+// to call concurrently from pool workers.
 
 #ifndef TGLINK_SIMILARITY_SIM_BATCH_H_
 #define TGLINK_SIMILARITY_SIM_BATCH_H_
@@ -61,12 +61,9 @@ class SimBatch {
   SimBatch(const SimBatch&) = delete;
   SimBatch& operator=(const SimBatch&) = delete;
 
-  /// Exact aggregate; bit-identical to
-  /// fn.AggregateSimilarity(old.record(o), new.record(n)).
-  [[nodiscard]] double Aggregate(RecordId old_id, RecordId new_id) const;
-
   /// Exact aggregate, or kPruned when the bounds prove it is < min_sim.
-  /// min_sim <= 0 disables pruning (identical to Aggregate).
+  /// min_sim <= 0 disables pruning: the result is then bit-identical to
+  /// fn.AggregateSimilarity(old.record(o), new.record(n)).
   [[nodiscard]] double AggregateWithThreshold(RecordId old_id,
                                               RecordId new_id,
                                               double min_sim) const;
@@ -125,7 +122,7 @@ class SimBatch {
 
   int BuildFieldTable(Field field);
 
-  /// Aggregate without counting the call.
+  /// The exact aggregate, without counting the call.
   [[nodiscard]] double ExactAggregate(RecordId old_id, RecordId new_id) const;
 
   /// Value of present (both-non-missing) component i; kernel_min > 0 may

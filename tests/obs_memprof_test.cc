@@ -312,11 +312,13 @@ TEST(MemProfIntegrationTest, LinkCensusPairReportsEveryProductionArena) {
 }
 
 TEST(MemProfIntegrationTest, SimBatchBuildAllocatesLinearlyInItsArena) {
-  // Building a SimBatch appends every value's gram profile to one shared
-  // per-field vector. Growing that vector by exactly one value's grams at
-  // a time copies it on every value — quadratic in the distinct values —
-  // so the bytes the build allocates must stay within a small constant
-  // multiple of the arena it keeps.
+  // Building a SimBatch interns each field through an open-addressing
+  // table keyed by views into the records, then sizes each gram-profile
+  // vector once. The bytes the build allocates must stay within a small
+  // constant multiple of the arena it keeps. Growing a profile vector by
+  // one value's grams at a time (quadratic) allocated 89x the arena here,
+  // and a hash interner with a string copy per record and a node per
+  // value 9.5x.
   if (!MemProfHooksCompiledIn()) {
     GTEST_SKIP() << "allocator hooks compiled out in this build";
   }
@@ -335,7 +337,9 @@ TEST(MemProfIntegrationTest, SimBatchBuildAllocatesLinearlyInItsArena) {
   ASSERT_NE(build, nullptr);
   ASSERT_NE(arena, nullptr);
   ASSERT_GT(arena->bytes_total, 0u);
-  EXPECT_LE(build->bytes_allocated, 16 * arena->bytes_total)
+  // 1.5x measured at this scale; 2.5x leaves headroom for allocators whose
+  // usable sizes round differently.
+  EXPECT_LE(2 * build->bytes_allocated, 5 * arena->bytes_total)
       << "build allocated " << build->bytes_allocated << " bytes for a "
       << arena->bytes_total << "-byte arena";
 }

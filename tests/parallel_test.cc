@@ -188,9 +188,9 @@ TEST(ParallelTest, SimBatchHammerAllPlansStayBitIdentical) {
   for (int round = 0; round < kRounds; ++round) {
     const std::vector<double> got =
         ParallelMap<double>(n_pairs, "test.simbatch_all_plans", [&](size_t i) {
-          return batch.Aggregate(
+          return batch.AggregateWithThreshold(
               static_cast<RecordId>(i / new_d.num_records()),
-              static_cast<RecordId>(i % new_d.num_records()));
+              static_cast<RecordId>(i % new_d.num_records()), 0.0);
         });
     for (size_t i = 0; i < n_pairs; ++i) {
       ASSERT_EQ(got[i], expected[i]) << "pair " << i << " round " << round;

@@ -1,7 +1,6 @@
 #include "tglink/linkage/prematching.h"
 
 #include <algorithm>
-#include <iterator>
 #include <map>
 #include <string>
 #include <utility>
@@ -10,7 +9,6 @@
 
 #include "tglink/graph/union_find.h"
 #include "tglink/linkage/config.h"
-#include "tglink/obs/metrics.h"
 #include "tglink/synth/generator.h"
 #include "tglink/util/random.h"
 #include "tests/paper_example.h"
@@ -88,20 +86,17 @@ TEST_F(PreMatchingFig3Test, LabelSizesMatchPaper) {
   EXPECT_EQ(clustering_.LabelSize(clustering_.old_labels[5]), 2u);  // D
 }
 
-TEST_F(PreMatchingFig3Test, MemberListsConsistentWithLabels) {
-  for (RecordId r = 0; r < old_d_.num_records(); ++r) {
-    const uint32_t label = clustering_.old_labels[r];
+TEST_F(PreMatchingFig3Test, LabelSizesCountLabelledRecords) {
+  std::vector<uint32_t> counted(clustering_.num_labels, 0);
+  for (const uint32_t label : clustering_.old_labels) {
     ASSERT_NE(label, Clustering::kNoLabel);
-    const auto& members = clustering_.label_old_members[label];
-    EXPECT_NE(std::find(members.begin(), members.end(), r), members.end());
+    ++counted[label];
   }
-}
-
-TEST_F(PreMatchingFig3Test, PairSimilarityCachedAndOnDemandAgree) {
-  // A kept pair (john ashworth 0-0) returns its similarity; a pair outside
-  // the kept set is not a vertex.
-  EXPECT_DOUBLE_EQ(prematcher_.PairSimilarity(0, 0), 1.0);
-  EXPECT_EQ(prematcher_.PairSimilarity(2, 6), PreMatcher::kNotKept);
+  for (const uint32_t label : clustering_.new_labels) {
+    ASSERT_NE(label, Clustering::kNoLabel);
+    ++counted[label];
+  }
+  EXPECT_EQ(clustering_.label_sizes, counted);
 }
 
 TEST_F(PreMatchingFig3Test, InactiveRecordsExcluded) {
@@ -177,9 +172,9 @@ SimilarityFunction DefaultSimFunc(const SyntheticPair& pair) {
 
 // The kept pairs are exactly the blocking candidates whose directly
 // computed similarity reaches min_threshold, enumerated in (old, new) order
-// with that similarity, and the CSR store answers each of them without a
-// miss. The oracle is an ordered map built from the candidates.
-TEST(PreMatchingTest, PairSimilarityMatchesMapOracleForEveryKeptPair) {
+// with that similarity. The oracle is an ordered map built from the
+// candidates.
+TEST(PreMatchingTest, KeptPairsMatchMapOracle) {
   const SyntheticPair pair = SmallSyntheticPair();
   const LinkageConfig config = configs::DefaultConfig();
   const SimilarityFunction f = DefaultSimFunc(pair);
@@ -207,13 +202,7 @@ TEST(PreMatchingTest, PairSimilarityMatchesMapOracleForEveryKeptPair) {
     EXPECT_EQ(p.sim, next->second);
     ++next;
   });
-  obs::Counter& misses =
-      obs::GlobalMetrics().GetCounter("simcache.prematch_miss");
-  const uint64_t misses_before = misses.Value();
-  for (const auto& [key, sim] : oracle) {
-    EXPECT_EQ(pm.PairSimilarity(key.first, key.second), sim);
-  }
-  EXPECT_EQ(misses.Value(), misses_before) << "a kept pair missed the store";
+  EXPECT_EQ(next, oracle.end());
 }
 
 // ---------------------------------------------------------------------------
@@ -273,18 +262,16 @@ struct ClusterOracle {
     c.old_labels.assign(n_old, Clustering::kNoLabel);
     c.new_labels.assign(n_new, Clustering::kNoLabel);
     c.num_labels = uf.num_components();
-    c.label_old_members.resize(c.num_labels);
-    c.label_new_members.resize(c.num_labels);
+    c.label_sizes.assign(c.num_labels, 0);
     for (size_t r = 0; r < n_old; ++r) {
       if (!active_old[r]) continue;
       c.old_labels[r] = labels[r];
-      c.label_old_members[labels[r]].push_back(static_cast<RecordId>(r));
+      ++c.label_sizes[labels[r]];
     }
     for (size_t r = 0; r < n_new; ++r) {
       if (!active_new[r]) continue;
       c.new_labels[r] = labels[n_old + r];
-      c.label_new_members[labels[n_old + r]].push_back(
-          static_cast<RecordId>(r));
+      ++c.label_sizes[labels[n_old + r]];
     }
     return c;
   }
@@ -299,8 +286,7 @@ void ExpectSameClustering(const PreMatcher& pm, const ClusterOracle& oracle,
   EXPECT_EQ(got.num_labels, want.num_labels) << where;
   EXPECT_EQ(got.old_labels, want.old_labels) << where;
   EXPECT_EQ(got.new_labels, want.new_labels) << where;
-  EXPECT_EQ(got.label_old_members, want.label_old_members) << where;
-  EXPECT_EQ(got.label_new_members, want.label_new_members) << where;
+  EXPECT_EQ(got.label_sizes, want.label_sizes) << where;
   EXPECT_EQ(pm.CountPairsAtDelta(delta, active_old, active_new),
             oracle.CountPairsAtDelta(delta, active_old, active_new))
       << where;
@@ -402,12 +388,12 @@ TEST(PreMatchingClusterOracleTest, AdmissionToleranceIsUnchanged) {
             admitted.new_labels[probe->new_id]);
 }
 
-// Lookups that miss the store: each returns kNotKept, and counts once.
-class PreMatchingMissTest : public ::testing::Test {
+// CSR row boundaries: old records 0 and 3 (the first and the last) match
+// nothing at threshold 1, so their rows are empty; rows 1 and 2 hold one
+// pair each.
+class PreMatchingRowTest : public ::testing::Test {
  protected:
-  // Old records 0 and 3 (the first and the last) match nothing at
-  // threshold 1, so their rows are empty; rows 1 and 2 hold one pair each.
-  PreMatchingMissTest()
+  PreMatchingRowTest()
       : old_d_(MakeOld()),
         new_d_(MakeNew()),
         sim_func_(Fig3SimFunc()),
@@ -440,39 +426,33 @@ class PreMatchingMissTest : public ::testing::Test {
     return d;
   }
 
-  double Direct(RecordId o, RecordId n) const {
-    return sim_func_.AggregateSimilarity(old_d_.record(o), new_d_.record(n));
-  }
-
   CensusDataset old_d_;
   CensusDataset new_d_;
   SimilarityFunction sim_func_;
   PreMatcher prematcher_;
 };
 
-TEST_F(PreMatchingMissTest, StoreHoldsExactlyTheMatchingPairs) {
+TEST_F(PreMatchingRowTest, RowsHoldExactlyTheMatchingPairs) {
   ASSERT_EQ(prematcher_.num_kept_pairs(), 2u);
-  EXPECT_EQ(prematcher_.PairSimilarity(1, 0), 1.0);
-  EXPECT_EQ(prematcher_.PairSimilarity(2, 1), 1.0);
-}
-
-TEST_F(PreMatchingMissTest, MissesFallThroughToDirectSimilarity) {
-  obs::Counter& misses =
-      obs::GlobalMetrics().GetCounter("simcache.prematch_miss");
-  const uint64_t before = misses.Value();
-  const std::pair<RecordId, RecordId> probes[] = {
-      {0, 0}, {0, 2},  // empty first row
-      {3, 0}, {3, 2},  // empty last row
-      {1, 2},          // new id past the end of row 1 = {0}
-      {2, 0},          // new id before the start of row 2 = {1}
-      {1, 1},          // scored but below the threshold
-  };
-  for (const auto& [o, n] : probes) {
-    EXPECT_EQ(prematcher_.PairSimilarity(o, n), PreMatcher::kNotKept)
-        << "(" << o << ", " << n << ")";
+  std::vector<std::pair<RecordId, RecordId>> kept;
+  prematcher_.ForEachKeptPair([&kept](const ScoredPair& p) {
+    EXPECT_EQ(p.sim, 1.0);
+    kept.emplace_back(p.old_id, p.new_id);
+  });
+  EXPECT_EQ(kept, (std::vector<std::pair<RecordId, RecordId>>{{1, 0}, {2, 1}}));
+  // Each row yields only its own pair, and the empty first and last rows
+  // yield nothing; (1, 1) was scored below the threshold and is in no row.
+  const std::vector<std::vector<RecordId>> want_rows = {{}, {0}, {1}, {}};
+  for (RecordId o = 0; o < old_d_.num_records(); ++o) {
+    std::vector<RecordId> row;
+    prematcher_.ForEachAdmissibleInRow(o, 1.0, [&row](RecordId n, double sim) {
+      EXPECT_EQ(sim, 1.0);
+      row.push_back(n);
+    });
+    EXPECT_EQ(row, want_rows[o]) << "row " << o;
   }
-  EXPECT_LT(prematcher_.PairSimilarity(1, 1), 1.0);
-  EXPECT_EQ(misses.Value() - before, std::size(probes) + 1);
+  EXPECT_LT(sim_func_.AggregateSimilarity(old_d_.record(1), new_d_.record(1)),
+            1.0);
 }
 
 }  // namespace

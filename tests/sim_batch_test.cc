@@ -46,8 +46,9 @@ TEST(SimBatchTest, BitIdenticalToDirectAggregationOverFullCrossProduct) {
     const SimBatch batch(fn, old_d, new_d);
     for (RecordId o = 0; o < old_d.num_records(); ++o) {
       for (RecordId n = 0; n < new_d.num_records(); ++n) {
-        // EXPECT_EQ, not NEAR: the batch must reproduce the exact bits.
-        EXPECT_EQ(batch.Aggregate(o, n),
+        // EXPECT_EQ, not NEAR: the batch must reproduce the exact bits;
+        // min_sim 0 disables pruning.
+        EXPECT_EQ(batch.AggregateWithThreshold(o, n, 0.0),
                   fn.AggregateSimilarity(old_d.record(o), new_d.record(n)))
             << fn.ToString() << " pair (" << o << "," << n << ")";
       }
@@ -71,7 +72,7 @@ TEST(SimBatchTest, MissingValuesFollowTheDirectPath) {
       const SimBatch batch(fn, old_d, new_d);
       for (RecordId o = 0; o < old_d.num_records(); ++o) {
         for (RecordId n = 0; n < new_d.num_records(); ++n) {
-          EXPECT_EQ(batch.Aggregate(o, n),
+          EXPECT_EQ(batch.AggregateWithThreshold(o, n, 0.0),
                     fn.AggregateSimilarity(old_d.record(o), new_d.record(n)))
               << fn.ToString() << " policy " << static_cast<int>(policy)
               << " pair (" << o << "," << n << ")";
@@ -91,7 +92,7 @@ TEST(SimBatchTest, WorksForOmega1Too) {
   const SimBatch batch(fn, old_d, new_d);
   for (RecordId o = 0; o < old_d.num_records(); ++o) {
     for (RecordId n = 0; n < new_d.num_records(); ++n) {
-      EXPECT_EQ(batch.Aggregate(o, n),
+      EXPECT_EQ(batch.AggregateWithThreshold(o, n, 0.0),
                 fn.AggregateSimilarity(old_d.record(o), new_d.record(n)))
           << "pair (" << o << "," << n << ")";
     }
@@ -128,24 +129,9 @@ TEST(SimBatchTest, ThresholdScoringNeverPrunesAKeptPair) {
   }
 }
 
-TEST(SimBatchTest, ThresholdScoringIsExactAtZero) {
-  const CensusDataset old_d = MakeCensus1871();
-  const CensusDataset new_d = MakeCensus1881();
-  const SimilarityFunction fn = PaperSimFunc();
-  const SimBatch batch(fn, old_d, new_d);
-  for (RecordId o = 0; o < old_d.num_records(); ++o) {
-    for (RecordId n = 0; n < new_d.num_records(); ++n) {
-      // min_sim <= 0 disables pruning.
-      EXPECT_EQ(batch.AggregateWithThreshold(o, n, 0.0),
-                fn.AggregateSimilarity(old_d.record(o), new_d.record(n)));
-    }
-  }
-}
-
 TEST(SimBatchTest, EveryScoringCallCountsOnce) {
-  // One agg_calls per call on every path: the exact aggregate, the
-  // threshold path with pruning on, and its min_sim <= 0 forward to the
-  // exact aggregate.
+  // One agg_calls per call on both paths: pruning on, and the
+  // min_sim <= 0 forward to the exact aggregate.
   const CensusDataset old_d = MakeCensus1871();
   const CensusDataset new_d = MakeCensus1881();
   const SimilarityFunction fn = PaperSimFunc();
@@ -153,12 +139,10 @@ TEST(SimBatchTest, EveryScoringCallCountsOnce) {
   obs::Counter& calls =
       obs::GlobalMetrics().GetCounter("similarity.agg_calls");
   const uint64_t before = calls.Value();
-  (void)batch.Aggregate(0, 0);
-  EXPECT_EQ(calls.Value(), before + 1);
   (void)batch.AggregateWithThreshold(0, 0, 0.7);
-  EXPECT_EQ(calls.Value(), before + 2);
+  EXPECT_EQ(calls.Value(), before + 1);
   (void)batch.AggregateWithThreshold(0, 0, 0.0);
-  EXPECT_EQ(calls.Value(), before + 3);
+  EXPECT_EQ(calls.Value(), before + 2);
 }
 
 }  // namespace

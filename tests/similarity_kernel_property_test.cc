@@ -179,8 +179,8 @@ TEST_F(SimilarityKernelPropertyTest, AggregateIdentityAcrossPresets) {
           });
       const std::vector<double> batch_sims = ParallelMap<double>(
           candidates.size(), "proptest.batch_chunk", [&](size_t i) {
-            return batch.Aggregate(candidates[i].old_id,
-                                   candidates[i].new_id);
+            return batch.AggregateWithThreshold(candidates[i].old_id,
+                                                candidates[i].new_id, 0.0);
           });
       const std::vector<double> pruned_sims = ParallelMap<double>(
           candidates.size(), "proptest.pruned_chunk", [&](size_t i) {
@@ -260,7 +260,8 @@ TEST_F(SimilarityKernelPropertyTest, AllPlansAllPoliciesAggregateIdentity) {
         const double expected =
             reference::Aggregate(fn, pair.old_dataset.record(cand.old_id),
                                  pair.new_dataset.record(cand.new_id));
-        const double got = batch.Aggregate(cand.old_id, cand.new_id);
+        const double got =
+            batch.AggregateWithThreshold(cand.old_id, cand.new_id, 0.0);
         c.ExpectTrue(got == expected,
                      "policy " + std::to_string(static_cast<int>(policy)) +
                          ": batch " + std::to_string(got) + " != reference " +

@@ -1,13 +1,15 @@
 // Differential verification of BuildAllSubgraphs' candidate generation
 // (DESIGN.md §14). The library hands blocks of old households to the pool;
-// each household enumerates its label-shared member pairs, groups them by
-// new household with a counting pass, and builds only keys whose member
-// pairs hold two distinct old and two distinct new records. This suite
-// keeps the former unfiltered enumeration as the oracle: every old×new
-// cross product of every label nominates a household pair, and each
-// nominated pair is built by the former |old|×|new| member scan. The two
-// must return the same non-empty subgraphs, element by element and bit
-// for bit, and the same subgraph.member_pairs, filtered_keys,
+// each household reads its active members' CSR rows for the kept pairs
+// admissible at δ whose new record is active, groups them by new household
+// with a counting pass, and builds only keys whose pairs hold two distinct
+// old and two distinct new records. This suite keeps the label-member
+// enumeration as the oracle: every old×new cross product of every label
+// nominates a household pair, each nominated pair is built by an
+// |old|×|new| member scan, and a vertex's similarity is looked up in a
+// std::map built from ForEachKeptPair, where a miss means "not a vertex".
+// The two must return the same non-empty subgraphs, element by element
+// and bit for bit, and the same subgraph.member_pairs, filtered_keys,
 // candidate_group_pairs and built counts, at every δ of the schedule:
 //
 //   * on the paper's Fig. 3/4 fixture and on every scenario-registry
@@ -15,10 +17,15 @@
 //     record sets shrink as they do in LinkCensusPair;
 //   * on a census pair whose old-household count leaves a partial last
 //     block;
-//   * on hand-built clusterings that hit the filter's edge cases: a key
-//     with one member pair, a key whose pairs share one old record, a key
-//     fed by two different labels, and one old household feeding three
-//     new households through two labels.
+//   * on clusterings of chosen active record sets that hit the filter's
+//     edge cases: a key with one member pair, a key whose pairs share one
+//     old record, a key fed by two different labels, and one old household
+//     feeding three new households through two labels.
+//
+// A further property pins the vertex rule itself on every preset: each
+// vertex of each built subgraph is a kept pair admissible at δ between
+// active records, and subgraph.member_pairs never exceeds the round's
+// admissible kept pairs.
 //
 // Runs serially by default; TGLINK_TEST_THREADS=0 (a second ctest entry)
 // reruns everything on one worker per hardware thread.
@@ -26,6 +33,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
+#include <functional>
 #include <map>
 #include <set>
 #include <string>
@@ -54,7 +62,27 @@ using testing_example::MakeCensus1871;
 using testing_example::MakeCensus1881;
 
 // ---------------------------------------------------------------------------
-// Oracle: the unfiltered enumeration and the per-pair member scan.
+// Oracle: the label-member enumeration, the per-pair member scan and a map
+// of the kept pairs.
+
+using KeptPairs = std::map<std::pair<RecordId, RecordId>, double>;
+
+KeptPairs KeptPairMap(const PreMatcher& prematcher) {
+  KeptPairs kept;
+  prematcher.ForEachKeptPair([&kept](const ScoredPair& p) {
+    kept.emplace(std::make_pair(p.old_id, p.new_id), p.sim);
+  });
+  return kept;
+}
+
+/// The similarity of a vertex-eligible pair, or nullptr: a pair outside the
+/// kept set, or one below δ, is not a vertex.
+const double* VertexSimilarity(const KeptPairs& kept, RecordId o, RecordId n,
+                               double delta) {
+  const auto it = kept.find({o, n});
+  if (it == kept.end() || it->second + 1e-12 < delta) return nullptr;
+  return &it->second;
+}
 
 double OracleEdgeSimilarity(const HouseholdGraph& old_graph,
                             const HouseholdGraph& new_graph,
@@ -80,7 +108,7 @@ GroupPairSubgraph OracleBuild(GroupId old_group, GroupId new_group,
                               const HouseholdGraph& old_graph,
                               const HouseholdGraph& new_graph,
                               const Clustering& clustering,
-                              const PreMatcher& prematcher,
+                              const KeptPairs& kept,
                               const LinkageConfig& config,
                               const CensusDataset& old_dataset,
                               const CensusDataset& new_dataset, double delta) {
@@ -104,9 +132,9 @@ GroupPairSubgraph OracleBuild(GroupId old_group, GroupId new_group,
                                         gate > 0 ? gate : 7);
         if (gate > 0 && age_sim <= 0.0) continue;
       }
-      const double sim = prematcher.PairSimilarity(o, n);
-      if (sim + 1e-12 < delta) continue;
-      candidates.push_back({o, n, sim, age_sim});
+      const double* sim = VertexSimilarity(kept, o, n, delta);
+      if (sim == nullptr) continue;
+      candidates.push_back({o, n, *sim, age_sim});
     }
   }
   if (candidates.empty()) return subgraph;
@@ -210,23 +238,37 @@ struct OracleResult {
 
 /// Every (old household, new household) pair sharing a label, built
 /// unfiltered; the non-empty subgraphs in key order. The counts are those
-/// the two-and-two filter implies: a key is a candidate iff its member
-/// pairs hold two distinct old and two distinct new records.
+/// the rule and the two-and-two filter imply: a member pair is a
+/// label-shared pair that is a kept pair admissible at δ, and a key with
+/// member pairs is a candidate iff they hold two distinct old and two
+/// distinct new records.
 OracleResult OracleBuildAll(const CensusDataset& old_dataset,
                             const CensusDataset& new_dataset,
                             const std::vector<HouseholdGraph>& old_graphs,
                             const std::vector<HouseholdGraph>& new_graphs,
                             const Clustering& clustering,
-                            const PreMatcher& prematcher,
+                            const KeptPairs& kept,
                             const LinkageConfig& config, double delta) {
+  std::vector<std::vector<RecordId>> label_old(clustering.num_labels);
+  std::vector<std::vector<RecordId>> label_new(clustering.num_labels);
+  for (RecordId o = 0; o < clustering.old_labels.size(); ++o) {
+    const uint32_t label = clustering.old_labels[o];
+    if (label != Clustering::kNoLabel) label_old[label].push_back(o);
+  }
+  for (RecordId n = 0; n < clustering.new_labels.size(); ++n) {
+    const uint32_t label = clustering.new_labels[n];
+    if (label != Clustering::kNoLabel) label_new[label].push_back(n);
+  }
   std::map<uint64_t, std::vector<std::pair<RecordId, RecordId>>> keys;
   OracleResult result;
   for (uint32_t label = 0; label < clustering.num_labels; ++label) {
-    for (RecordId o : clustering.label_old_members[label]) {
+    for (RecordId o : label_old[label]) {
       const GroupId go = old_dataset.record(o).group;
-      for (RecordId n : clustering.label_new_members[label]) {
+      for (RecordId n : label_new[label]) {
         const GroupId gn = new_dataset.record(n).group;
-        keys[(static_cast<uint64_t>(go) << 32) | gn].emplace_back(o, n);
+        auto& members = keys[(static_cast<uint64_t>(go) << 32) | gn];
+        if (VertexSimilarity(kept, o, n, delta) == nullptr) continue;
+        members.emplace_back(o, n);
         ++result.counts.member_pairs;
       }
     }
@@ -240,14 +282,14 @@ OracleResult OracleBuildAll(const CensusDataset& old_dataset,
     }
     if (olds.size() >= 2 && news.size() >= 2) {
       ++result.counts.candidate_group_pairs;
-    } else {
+    } else if (!members.empty()) {
       ++result.counts.filtered_keys;
     }
     const GroupId go = static_cast<GroupId>(key >> 32);
     const GroupId gn = static_cast<GroupId>(key & 0xFFFFFFFFu);
     GroupPairSubgraph subgraph =
-        OracleBuild(go, gn, old_graphs[go], new_graphs[gn], clustering,
-                    prematcher, config, old_dataset, new_dataset, delta);
+        OracleBuild(go, gn, old_graphs[go], new_graphs[gn], clustering, kept,
+                    config, old_dataset, new_dataset, delta);
     if (!subgraph.empty()) result.subgraphs.push_back(std::move(subgraph));
   }
   result.counts.built = result.subgraphs.size();
@@ -287,20 +329,34 @@ void ExpectSameSubgraphs(const std::vector<GroupPairSubgraph>& expected,
   }
 }
 
-/// Replays the δ rounds of Algorithm 1 on one census pair, comparing the
-/// library against the oracle at every δ of the schedule (including rounds
-/// after the one where LinkCensusPair would stop). Returns the number of
+/// One round of a replayed schedule.
+struct Round {
+  const std::vector<HouseholdGraph>& old_graphs;
+  const std::vector<HouseholdGraph>& new_graphs;
+  const PreMatcher& prematcher;
+  const KeptPairs& kept;
+  const Clustering& clustering;
+  const std::vector<bool>& active_old;
+  const std::vector<bool>& active_new;
+  double delta;
+};
+
+/// Replays the δ rounds of Algorithm 1 on one census pair, including rounds
+/// after the one where LinkCensusPair would stop. `build` returns a round's
+/// subgraphs, which greedy selection then consumes. Returns the number of
 /// non-empty subgraphs seen, so callers can reject a vacuous corpus.
-size_t CompareOverSchedule(const CensusDataset& old_d,
-                           const CensusDataset& new_d,
-                           const LinkageConfig& config,
-                           const std::string& name) {
+size_t ReplaySchedule(
+    const CensusDataset& old_d, const CensusDataset& new_d,
+    const LinkageConfig& config,
+    const std::function<std::vector<GroupPairSubgraph>(const Round&)>&
+        build) {
   const std::vector<HouseholdGraph> old_graphs = EnrichAllHouseholds(old_d);
   const std::vector<HouseholdGraph> new_graphs = EnrichAllHouseholds(new_d);
   SimilarityFunction sim_func = config.sim_func;
   sim_func.set_year_gap(new_d.year() - old_d.year());
   const PreMatcher prematcher(old_d, new_d, sim_func, config.blocking,
                               config.delta_low);
+  const KeptPairs kept = KeptPairMap(prematcher);
   std::vector<bool> active_old(old_d.num_records(), true);
   std::vector<bool> active_new(new_d.num_records(), true);
   GroupMapping groups;
@@ -310,22 +366,35 @@ size_t CompareOverSchedule(const CensusDataset& old_d,
        delta -= config.delta_step) {
     const Clustering clustering =
         prematcher.Cluster(delta, active_old, active_new);
-    const Counts before = ReadCounts();
-    std::vector<GroupPairSubgraph> actual =
-        BuildAllSubgraphs(old_d, new_d, old_graphs, new_graphs, clustering,
-                          prematcher, config, delta);
-    const Counts counts = CountsSince(before);
-    const OracleResult expected =
-        OracleBuildAll(old_d, new_d, old_graphs, new_graphs, clustering,
-                       prematcher, config, delta);
-    const std::string where = name + " at delta " + std::to_string(delta);
-    ExpectSameSubgraphs(expected.subgraphs, actual, where);
-    ExpectSameCounts(expected.counts, counts, where);
-    built += actual.size();
-    (void)SelectGroupLinks(std::move(actual), &groups, &records, &active_old,
-                           &active_new);
+    std::vector<GroupPairSubgraph> subgraphs =
+        build({old_graphs, new_graphs, prematcher, kept, clustering,
+               active_old, active_new, delta});
+    built += subgraphs.size();
+    (void)SelectGroupLinks(std::move(subgraphs), &groups, &records,
+                           &active_old, &active_new);
   }
   return built;
+}
+
+/// Compares the library against the oracle at every δ of the schedule.
+size_t CompareOverSchedule(const CensusDataset& old_d,
+                           const CensusDataset& new_d,
+                           const LinkageConfig& config,
+                           const std::string& name) {
+  return ReplaySchedule(old_d, new_d, config, [&](const Round& r) {
+    const Counts before = ReadCounts();
+    std::vector<GroupPairSubgraph> actual =
+        BuildAllSubgraphs(old_d, new_d, r.old_graphs, r.new_graphs,
+                          r.clustering, r.prematcher, config, r.delta);
+    const Counts counts = CountsSince(before);
+    const OracleResult expected =
+        OracleBuildAll(old_d, new_d, r.old_graphs, r.new_graphs,
+                       r.clustering, r.kept, config, r.delta);
+    const std::string where = name + " at delta " + std::to_string(r.delta);
+    ExpectSameSubgraphs(expected.subgraphs, actual, where);
+    ExpectSameCounts(expected.counts, counts, where);
+    return actual;
+  });
 }
 
 class SubgraphCandidatesPropertyTest : public ::testing::Test {
@@ -378,6 +447,54 @@ TEST_F(SubgraphCandidatesPropertyTest, EveryScenarioPresetMatchesOracle) {
   }
 }
 
+// The vertex rule: at every δ of the default schedule, every vertex of
+// every built subgraph is a kept pair whose similarity is admitted at δ,
+// between records still active in that round, and the round enumerates
+// no more member pairs than it has admissible kept pairs.
+TEST_F(SubgraphCandidatesPropertyTest,
+       EveryPresetVertexIsAnAdmissibleKeptPair) {
+  const LinkageConfig config = configs::DefaultConfig();
+  for (const proptest::NamedScenarioConfig& scenario :
+       proptest::AllScenarioConfigs()) {
+    GeneratorConfig gen = scenario.config;
+    gen.seed = 20170321;
+    gen.scale = 0.08;
+    gen.num_censuses = 2;
+    const SyntheticPair pair = GenerateCensusPair(gen, 0);
+    size_t vertices = 0;
+    ReplaySchedule(
+        pair.old_dataset, pair.new_dataset, config, [&](const Round& r) {
+          const Counts before = ReadCounts();
+          std::vector<GroupPairSubgraph> subgraphs = BuildAllSubgraphs(
+              pair.old_dataset, pair.new_dataset, r.old_graphs, r.new_graphs,
+              r.clustering, r.prematcher, config, r.delta);
+          const std::string where =
+              scenario.name + " at delta " + std::to_string(r.delta);
+          EXPECT_LE(CountsSince(before).member_pairs,
+                    r.prematcher.CountPairsAtDelta(r.delta, r.active_old,
+                                                   r.active_new))
+              << where;
+          for (const GroupPairSubgraph& subgraph : subgraphs) {
+            for (const SubgraphVertex& v : subgraph.vertices) {
+              ++vertices;
+              const auto it = r.kept.find({v.old_id, v.new_id});
+              if (it == r.kept.end()) {
+                ADD_FAILURE() << where << ": vertex (" << v.old_id << ", "
+                              << v.new_id << ") is not a kept pair";
+                continue;
+              }
+              EXPECT_EQ(v.sim, it->second) << where;
+              EXPECT_GE(v.sim + 1e-12, r.delta) << where;
+              EXPECT_TRUE(r.active_old[v.old_id] && r.active_new[v.new_id])
+                  << where;
+            }
+          }
+          return subgraphs;
+        });
+    EXPECT_GT(vertices, 0u) << scenario.name;
+  }
+}
+
 // BuildAllSubgraphs hands old households to the pool in blocks; a census
 // pair whose old-household count leaves a partial last block must still
 // match the oracle, including the keys of that last block.
@@ -405,10 +522,12 @@ TEST_F(SubgraphCandidatesPropertyTest, PartialLastBlockMatchesOracle) {
 }
 
 // ---------------------------------------------------------------------------
-// Hand-built clusterings on the paper fixture. Records: 1871 household A =
-// {0 john, 1 elizabeth, 2 alice, 3 william}; 1881 household A = {0 john,
-// 1 elizabeth, 2 william}. John and Elizabeth are head and wife on both
-// sides, two years apart, so a (0,0)+(1,1) subgraph has a matching edge.
+// Chosen active record sets on the paper fixture, clustered by the
+// PreMatcher at a chosen δ. Records: 1871 household A = {0 john, 1
+// elizabeth, 2 alice, 3 william}; 1881 household A = {0 john, 1 elizabeth,
+// 2 william}. John and Elizabeth are head and wife on both sides, two years
+// apart, so a (0,0)+(1,1) subgraph has a matching edge. Every pair is kept
+// (exhaustive blocking, min_threshold 0).
 
 class SubgraphCandidateEdgeCaseTest : public SubgraphCandidatesPropertyTest {
  protected:
@@ -419,28 +538,20 @@ class SubgraphCandidateEdgeCaseTest : public SubgraphCandidatesPropertyTest {
         new_graphs_(EnrichAllHouseholds(new_d_)),
         config_(PaperConfig()),
         prematcher_(old_d_, new_d_, config_.sim_func,
-                    BlockingConfig::MakeExhaustive(), /*min_threshold=*/0.0) {
+                    BlockingConfig::MakeExhaustive(), /*min_threshold=*/0.0),
+        kept_(KeptPairMap(prematcher_)) {
     config_.vertex_age_tolerance = 0;
   }
 
-  struct Label {
-    std::vector<RecordId> old_members;
-    std::vector<RecordId> new_members;
-  };
-
-  /// A clustering where only the listed records carry labels.
-  Clustering MakeClustering(const std::vector<Label>& labels) const {
-    Clustering c;
-    c.old_labels.assign(old_d_.num_records(), Clustering::kNoLabel);
-    c.new_labels.assign(new_d_.num_records(), Clustering::kNoLabel);
-    c.num_labels = labels.size();
-    for (uint32_t l = 0; l < labels.size(); ++l) {
-      for (RecordId o : labels[l].old_members) c.old_labels[o] = l;
-      for (RecordId n : labels[l].new_members) c.new_labels[n] = l;
-      c.label_old_members.push_back(labels[l].old_members);
-      c.label_new_members.push_back(labels[l].new_members);
-    }
-    return c;
+  /// The clustering at `delta` where only the listed records are active.
+  Clustering MakeClustering(const std::vector<RecordId>& old_active,
+                            const std::vector<RecordId>& new_active,
+                            double delta) {
+    active_old_.assign(old_d_.num_records(), false);
+    active_new_.assign(new_d_.num_records(), false);
+    for (RecordId o : old_active) active_old_[o] = true;
+    for (RecordId n : new_active) active_new_[n] = true;
+    return prematcher_.Cluster(delta, active_old_, active_new_);
   }
 
   /// Builds with the library and the oracle, checks they agree, and
@@ -454,9 +565,11 @@ class SubgraphCandidateEdgeCaseTest : public SubgraphCandidatesPropertyTest {
     *counts = CountsSince(before);
     const OracleResult expected =
         OracleBuildAll(old_d_, new_d_, old_graphs_, new_graphs_, clustering,
-                       prematcher_, config_, delta);
-    ExpectSameSubgraphs(expected.subgraphs, actual, "hand-built");
-    ExpectSameCounts(expected.counts, *counts, "hand-built");
+                       kept_, config_, delta);
+    ExpectSameSubgraphs(expected.subgraphs, actual, "edge case");
+    ExpectSameCounts(expected.counts, *counts, "edge case");
+    EXPECT_EQ(counts->member_pairs,
+              prematcher_.CountPairsAtDelta(delta, active_old_, active_new_));
     return actual;
   }
 
@@ -466,11 +579,14 @@ class SubgraphCandidateEdgeCaseTest : public SubgraphCandidatesPropertyTest {
   std::vector<HouseholdGraph> new_graphs_;
   LinkageConfig config_;
   PreMatcher prematcher_;
+  KeptPairs kept_;
+  std::vector<bool> active_old_;
+  std::vector<bool> active_new_;
 };
 
 TEST_F(SubgraphCandidateEdgeCaseTest, KeyWithSingleMemberPairIsFiltered) {
   Counts counts{};
-  const auto subgraphs = BuildBoth(MakeClustering({{{0}, {0}}}), 0.0, &counts);
+  const auto subgraphs = BuildBoth(MakeClustering({0}, {0}, 0.0), 0.0, &counts);
   EXPECT_TRUE(subgraphs.empty());
   EXPECT_EQ(counts.member_pairs, 1u);
   EXPECT_EQ(counts.filtered_keys, 1u);
@@ -480,8 +596,8 @@ TEST_F(SubgraphCandidateEdgeCaseTest, KeyWithSingleMemberPairIsFiltered) {
 TEST_F(SubgraphCandidateEdgeCaseTest, KeyWithOneSharedOldRecordIsFiltered) {
   // (0,0) and (0,1): two new records but one old, so at most one vertex.
   Counts counts{};
-  const auto subgraphs =
-      BuildBoth(MakeClustering({{{0}, {0, 1}}}), 0.0, &counts);
+  const Clustering clustering = MakeClustering({0}, {0, 1}, 0.0);
+  const auto subgraphs = BuildBoth(clustering, 0.0, &counts);
   EXPECT_TRUE(subgraphs.empty());
   EXPECT_EQ(counts.member_pairs, 2u);
   EXPECT_EQ(counts.filtered_keys, 1u);
@@ -490,18 +606,19 @@ TEST_F(SubgraphCandidateEdgeCaseTest, KeyWithOneSharedOldRecordIsFiltered) {
   EXPECT_TRUE(BuildGroupPairSubgraph(
                   testing_example::kG1871A, testing_example::kG1881A,
                   old_graphs_[testing_example::kG1871A],
-                  new_graphs_[testing_example::kG1881A],
-                  MakeClustering({{{0}, {0, 1}}}), prematcher_, config_,
-                  old_d_, new_d_, 0.0)
+                  new_graphs_[testing_example::kG1881A], clustering,
+                  prematcher_, config_, old_d_, new_d_, 0.0)
                   .empty());
 }
 
 TEST_F(SubgraphCandidateEdgeCaseTest, KeyFedByTwoLabelsIsBuilt) {
-  // John's and Elizabeth's pairs carry different labels but nominate the
-  // same household pair; together they form the spouse edge.
+  // At δ = 1 only the exact name pairs are admissible, so John's and
+  // Elizabeth's pairs carry different labels but nominate the same
+  // household pair; together they form the spouse edge.
   Counts counts{};
-  const auto subgraphs =
-      BuildBoth(MakeClustering({{{0}, {0}}, {{1}, {1}}}), 1.0, &counts);
+  const Clustering clustering = MakeClustering({0, 1}, {0, 1}, 1.0);
+  ASSERT_NE(clustering.old_labels[0], clustering.old_labels[1]);
+  const auto subgraphs = BuildBoth(clustering, 1.0, &counts);
   EXPECT_EQ(counts.member_pairs, 2u);
   EXPECT_EQ(counts.filtered_keys, 0u);
   EXPECT_EQ(counts.candidate_group_pairs, 1u);
@@ -514,13 +631,22 @@ TEST_F(SubgraphCandidateEdgeCaseTest, KeyFedByTwoLabelsIsBuilt) {
 
 TEST_F(SubgraphCandidateEdgeCaseTest,
        OldHouseholdFeedingSeveralNewHouseholdsThroughTwoLabels) {
-  // The Johns and the Elizabeths of 1881 households A (0, 1), B (3, 4) and
-  // D (8, 9) share a label with 1871 household A's John (0) and Elizabeth
-  // (1) respectively, so one old household nominates three new ones, each
-  // through both labels.
+  // At δ = 0.6 a shared first name plus a partly shared surname is
+  // admissible, a shared surname alone is not. So 1871 household A's John
+  // (0) joins the Johns of 1881 households A (0), B (3) and D (8), and its
+  // Elizabeth (1) the Elizabeths (1, 4, 9): one old household nominates
+  // three new ones, each through both labels.
   Counts counts{};
-  const auto subgraphs = BuildBoth(
-      MakeClustering({{{0}, {0, 3, 8}}, {{1}, {1, 4, 9}}}), 0.0, &counts);
+  const Clustering clustering =
+      MakeClustering({0, 1}, {0, 1, 3, 4, 8, 9}, 0.6);
+  ASSERT_NE(clustering.old_labels[0], clustering.old_labels[1]);
+  for (RecordId n : {0, 3, 8}) {
+    ASSERT_EQ(clustering.new_labels[n], clustering.old_labels[0]) << n;
+  }
+  for (RecordId n : {1, 4, 9}) {
+    ASSERT_EQ(clustering.new_labels[n], clustering.old_labels[1]) << n;
+  }
+  const auto subgraphs = BuildBoth(clustering, 0.6, &counts);
   EXPECT_EQ(counts.member_pairs, 6u);
   EXPECT_EQ(counts.filtered_keys, 0u);
   EXPECT_EQ(counts.candidate_group_pairs, 3u);

@@ -3,9 +3,10 @@
 // slowly — on plain builds too). Each case maximizes the interleavings the
 // static analysis reasons about: SimBatch's immutable value tables read by
 // several threads at once, each with its own thread-local kernel and
-// pair scratch, PreMatcher's kept-pair store under lookups mixing store
-// hits with rescored misses, and the metrics registry taking snapshots
-// while other threads concurrently register and update metrics. A TSan
+// pair scratch, and the metrics registry taking snapshots while other
+// threads concurrently register and update metrics. PreMatcher's CSR
+// kept-pair store, read by every pool worker during subgraph
+// construction, is hammered by subgraph_candidates_property_test_mt. A TSan
 // report here means either an annotation is wrong (a field marked guarded
 // that is touched unlocked), a lock was dropped in a migration, or state
 // meant to be thread-local or frozen is shared and written — what the
@@ -21,7 +22,6 @@
 
 #include <gtest/gtest.h>
 
-#include "tglink/linkage/prematching.h"
 #include "tglink/obs/memprof.h"
 #include "tglink/obs/metrics.h"
 #include "tglink/similarity/sim_batch.h"
@@ -103,53 +103,6 @@ TEST(TsanHammerTest, SimBatchSharedTablesThresholdScoring) {
   // The cutoffs actually pruned (otherwise this test silently stopped
   // exercising the bound screen and the kernel cutoffs).
   EXPECT_GT(pruned.load(), 0u);
-}
-
-// PreMatcher's CSR kept-pair store is read by every pool worker during
-// subgraph construction. Four threads look up the full cross product —
-// kept pairs from the store, misses rescored through the shared SimBatch —
-// and must reproduce the answers of an identically built PreMatcher
-// queried serially, so the store's immutability and the batch's shared
-// tables are both exercised.
-TEST(TsanHammerTest, PreMatcherPairSimilarityConcurrentLookups) {
-  const CensusDataset old_d = MakeCensus1871();
-  const CensusDataset new_d = MakeCensus1881();
-  const SimilarityFunction fn = AllPlanSimFunc();
-  const BlockingConfig blocking = BlockingConfig::MakeExhaustive();
-  const size_t num_old = old_d.num_records();
-  const size_t num_new = new_d.num_records();
-  std::vector<double> want(num_old * num_new);
-  {
-    const PreMatcher serial(old_d, new_d, fn, blocking, 0.5);
-    for (size_t flat = 0; flat < want.size(); ++flat) {
-      want[flat] = serial.PairSimilarity(static_cast<RecordId>(flat / num_new),
-                                         static_cast<RecordId>(flat % num_new));
-    }
-  }
-  const PreMatcher shared(old_d, new_d, fn, blocking, 0.5);
-  ASSERT_GT(shared.num_kept_pairs(), 0u);
-  ASSERT_LT(shared.num_kept_pairs(), want.size());
-
-  constexpr int kThreads = 4;
-  constexpr int kRounds = 30;
-  std::atomic<bool> mismatch{false};
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      for (int round = 0; round < kRounds; ++round) {
-        for (size_t k = 0; k < want.size(); ++k) {
-          const size_t flat = (k + static_cast<size_t>(t) * 5) % want.size();
-          const double got =
-              shared.PairSimilarity(static_cast<RecordId>(flat / num_new),
-                                    static_cast<RecordId>(flat % num_new));
-          if (got != want[flat]) mismatch.store(true);
-        }
-      }
-    });
-  }
-  for (std::thread& th : threads) th.join();
-  EXPECT_FALSE(mismatch.load());
 }
 
 TEST(TsanHammerTest, MetricsRegistryConcurrentSnapshotDuringRegistration) {

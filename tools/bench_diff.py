@@ -19,6 +19,9 @@ Comparison policy, per metric class:
   quality     byte-deterministic at fixed options, so every counted field
               (tp/fp/fn) must match exactly; the derived ratios follow.
   iterations  deterministic: per-δ counts must match exactly.
+  counters    the work counters in EXACT_COUNTERS do not depend on the
+              thread count, so each must match exactly; one present on
+              only one side is drift too. Other counters are not gated.
   arenas      logical sizes, deterministic by design: bytes_total and
               max_bytes must match exactly (missing-on-one-side = drift).
   scalars     *seconds scalars are wall time: ratio-gated by
@@ -52,6 +55,12 @@ EXACT_QUALITY_KEYS = ("true_positives", "false_positives", "false_negatives")
 ITERATION_KEYS = (
     "delta", "scored_pairs", "candidate_subgraphs", "accepted_subgraphs",
     "new_group_links", "new_record_links",
+)
+# Work counters that count the same work at every thread count.
+EXACT_COUNTERS = (
+    "blocking.candidate_pairs", "prematch.pairs_scored",
+    "prematch.pairs_kept", "similarity.agg_calls", "subgraph.member_pairs",
+    "subgraph.candidate_group_pairs", "subgraph.built",
 )
 
 
@@ -163,6 +172,22 @@ def diff_iterations(baseline: dict, current: dict, diff: Diff) -> None:
                           f"{c.get(key)} (deterministic)")
 
 
+def diff_counters(baseline: dict, current: dict, diff: Diff) -> None:
+    base_c = baseline.get("metrics", {}).get("counters", {})
+    cur_c = current.get("metrics", {}).get("counters", {})
+    for name in EXACT_COUNTERS:
+        b, c = base_c.get(name), cur_c.get(name)
+        if b is None and c is None:
+            continue
+        if b is None or c is None:
+            side = "current run" if c is None else "baseline"
+            diff.fail(f"counter {name!r} missing from {side} "
+                      f"(deterministic work counter)")
+        elif b != c:
+            diff.fail(f"counter {name!r}: {b} -> {c} "
+                      f"(deterministic work counter; must match exactly)")
+
+
 def diff_scalars(baseline: dict, current: dict, args: argparse.Namespace,
                  diff: Diff) -> None:
     base_s = baseline.get("scalars", {})
@@ -255,6 +280,7 @@ def run_diff(baseline: dict, current: dict,
         return diff, False
     diff_quality(baseline, current, diff)
     diff_iterations(baseline, current, diff)
+    diff_counters(baseline, current, diff)
     diff_scalars(baseline, current, args, diff)
     diff_spans(baseline, current, args, diff)
     diff_memory(baseline, current, args, diff)
@@ -298,7 +324,10 @@ def _fixture_report() -> dict:
                                     "reports": 1}},
             "stages": [],
             "rss_kb": 50000, "vm_hwm_kb": 60000},
-        "metrics": {"counters": {}, "gauges": {}, "histograms": {}},
+        "metrics": {"counters": {"subgraph.member_pairs": 700,
+                                 "similarity.agg_calls": 1200,
+                                 "simkernel.screened": 1000},
+                    "gauges": {}, "histograms": {}},
         "spans": [{"path": "linkage.link_census_pair", "count": 1,
                    "total_ms": 2000.0, "alloc_bytes": 5000,
                    "free_bytes": 4000, "live_delta_bytes": 1000}],
@@ -351,6 +380,20 @@ def selftest() -> int:
     counts = _fixture_report()
     counts["scalars"]["record_links"] = 901.0
     expect("count scalar drift", _fixture_report(), counts, True)
+
+    work = _fixture_report()
+    work["metrics"]["counters"]["subgraph.member_pairs"] = 699
+    expect("work counter drift", _fixture_report(), work, True)
+    one_sided = _fixture_report()
+    del one_sided["metrics"]["counters"]["similarity.agg_calls"]
+    expect("work counter missing from current run", _fixture_report(),
+           one_sided, True)
+    expect("work counter missing from baseline", one_sided,
+           _fixture_report(), True)
+    # Counters outside the allowlist are not gated.
+    screened = _fixture_report()
+    screened["metrics"]["counters"]["simkernel.screened"] = 900
+    expect("ungated counter drift", _fixture_report(), screened, False)
 
     other = _fixture_report()
     other["options"]["scale"] = 0.25
